@@ -8,6 +8,7 @@ discriminant counting (a linear sieve driven by the squarefree-complement
 density 1/d).
 """
 
+from ._ints import omega
 from .almostprime import (
     DiscSequence,
     SieveAdmissibility,
@@ -69,7 +70,6 @@ from .zpoly import (
     enumerate_box,
     gal_in_an,
     ldisc,
-    omega,
     reduce_mod,
     tau_mu_sqfree,
 )

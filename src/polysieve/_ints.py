@@ -1,9 +1,17 @@
 """Integer helpers shared across the package: primality, factoring, and the
 classical multiplicative functions (omega, tau, mu) at desk scale.
 
-Everything here is exact.  Trial division uses a 2/3/5 wheel; the batch
-factor counter resolves large cofactors with a deterministic Miller-Rabin
-test (valid far beyond the 64-bit range used here).
+Everything here is exact.  Scalar trial division uses a 2/3/5 wheel, and
+the scalar `is_prime` is Miller-Rabin over the first twelve primes, which
+is deterministic below 3.3 * 10**24, far beyond the int64 range.
+
+The batch counter `omega_batch` has two primality domains.  Cofactors
+below `INT64_MR_LIMIT` = 2**31 are tested with a vectorized int64
+Miller-Rabin over the bases 2, 7, 61, deterministic below 4,759,123,141
+(Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 1993);
+the limit is 2**31 rather than that bound so that the product of two
+residues always fits in an int64.  Larger cofactors go through the scalar
+`is_prime`.
 """
 
 from __future__ import annotations
@@ -18,6 +26,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Gap pattern of the 2/3/5 wheel, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+# Cofactors below this take the int64 Miller-Rabin: residues stay below
+# 2**31, so every product of two residues fits in an int64.
+INT64_MR_LIMIT = 2 ** 31
+
+# Strong-pseudoprime bases deterministic below 4,759,123,141 (Jaeschke 1993),
+# which covers every odd value below INT64_MR_LIMIT.
+_INT64_MR_BASES = np.array([2, 7, 61], dtype=np.int64)
 
 
 def is_prime(m: int) -> bool:
@@ -156,50 +172,100 @@ def is_perfect_square(m: int) -> bool:
     return r * r == m
 
 
+def square_mask(vals: np.ndarray) -> np.ndarray:
+    """Exact perfect-square mask for an int64 array (negatives excluded)."""
+    mask = vals > 0
+    out = np.zeros(vals.shape, dtype=bool)
+    if not mask.any():
+        return out
+    pos = vals[mask]
+    root = np.floor(np.sqrt(pos.astype(np.float64))).astype(np.int64)
+    hit = np.zeros(pos.shape, dtype=bool)
+    for delta in (-1, 0, 1):  # guard against float rounding at the boundary
+        r = root + delta
+        hit |= (r >= 0) & (r * r == pos)
+    out[mask] = hit
+    return out
+
+
+def _is_prime_int64(c: np.ndarray) -> np.ndarray:
+    """Primality mask for a 1-D int64 array of odd values in (1, INT64_MR_LIMIT):
+    strong-probable-prime tests to the bases 2, 7, 61 at once, exact there."""
+    d = c - 1
+    low = d & -d
+    s = np.frexp(low.astype(np.float64))[1] - 1  # exact: low is a power of two
+    d //= low
+    base = _INT64_MR_BASES[:, None] % c  # one row per base
+    skip = base == 0  # a base divisible by c says nothing; only c = 7, 61
+    x = np.ones_like(base)
+    while True:  # x = base**d mod c, right-to-left binary powering
+        odd = (d & 1).astype(bool)
+        x = np.where(odd, x * base % c, x)
+        d >>= 1
+        if not d.any():
+            break
+        base = base * base % c
+    cm1 = c - 1
+    ok = skip | (x == 1) | (x == cm1)
+    for r in range(1, int(s.max())):
+        x = x * x % c
+        ok |= (x == cm1) & (r < s)
+    return ok.all(axis=0)
+
+
 def omega_batch(values: np.ndarray, track_squarefree: bool = False):
     """Vectorized distinct-prime counts for an array of nonzero int64 values.
 
-    Trial-divides by all primes up to cbrt(max); each remaining cofactor then
-    has at most two prime factors and is resolved exactly (unit, square,
-    prime, or semiprime).  Returns the omega array, or a pair
-    (omega, squarefree_mask) when track_squarefree is set.
+    Factors each distinct |v| once, by trial division with all primes up to
+    cbrt(max |v|); each remaining cofactor then has at most two prime
+    factors and is resolved exactly as 1, p^2 (exact square test), p or
+    p*q.  Cofactors below INT64_MR_LIMIT = 2**31 take the vectorized int64
+    Miller-Rabin over bases 2, 7, 61, deterministic below 4,759,123,141
+    (Jaeschke 1993); larger ones take the scalar `is_prime`.  Returns the
+    omega array in the input's shape, or a pair (omega, squarefree_mask)
+    when track_squarefree is set.
     """
     vals = np.abs(np.asarray(values, dtype=np.int64))
     if vals.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return (empty, np.ones(0, dtype=bool)) if track_squarefree else empty
+        empty = np.zeros(vals.shape, dtype=np.int64)
+        return (empty, np.ones(vals.shape, dtype=bool)) if track_squarefree else empty
     if np.any(vals == 0):
         raise ValueError("omega_batch: zero entry")
-    counts = np.zeros(vals.shape, dtype=np.int64)
-    sqfree = np.ones(vals.shape, dtype=bool)
-    rem = vals.copy()
-    vmax = int(rem.max())
-    for p in primes_up_to(max(2, round(vmax ** (1 / 3)) + 2)):
-        mask = rem % p == 0
-        if not mask.any():
+    rem, inv = np.unique(vals.ravel(), return_inverse=True)
+    counts = np.zeros(rem.shape, dtype=np.int64)
+    sqfree = np.ones(rem.shape, dtype=bool)
+    bound = max(2, round(int(rem[-1]) ** (1 / 3)) + 2)
+    for p in primes_up_to(bound):
+        # q * p == rem tests divisibility: division by a scalar is much
+        # cheaper than numpy's int64 remainder.
+        q = rem // p
+        hit = q * p == rem
+        if not hit.any():
             continue
-        counts[mask] += 1
-        rem[mask] //= p
-        again = mask & (rem % p == 0)
-        if again.any():
-            sqfree &= ~again
-            while again.any():
-                rem[again] //= p
-                again = again & (rem % p == 0)
-    # Cofactors now have no prime factor <= cbrt(vmax): 1, p, p^2 or p*q.
-    flat_rem = rem.ravel()
-    flat_counts = counts.ravel()
-    flat_sqfree = sqfree.ravel()
-    for idx in np.nonzero(flat_rem > 1)[0]:
-        c = int(flat_rem[idx])
-        r = math.isqrt(c)
-        if r * r == c:
-            flat_counts[idx] += 1
-            flat_sqfree[idx] = False
-        elif is_prime(c):
-            flat_counts[idx] += 1
-        else:
-            flat_counts[idx] += 2
+        counts += hit
+        while True:
+            np.copyto(rem, q, where=hit)
+            q = rem // p
+            hit = q * p == rem
+            if not hit.any():
+                break
+            sqfree &= ~hit
+    # Cofactors now have no prime factor <= bound > cbrt(max): 1, p, p^2 or
+    # p*q, and all are odd because 2 is always trial-divided.
+    square = square_mask(rem) & (rem > 1)
+    counts += square
+    sqfree &= ~square
+    idx = np.nonzero((rem > 1) & ~square)[0]
+    cof = rem[idx]
+    # A composite cofactor is at least (bound + 1)**2, so smaller ones are prime.
+    prime = cof <= bound * (bound + 2)
+    test = ~prime & (cof < INT64_MR_LIMIT)
+    if test.any():
+        prime[test] = _is_prime_int64(cof[test])
+    for i in np.nonzero(cof >= INT64_MR_LIMIT)[0]:
+        prime[i] = is_prime(int(cof[i]))
+    counts[idx] += np.where(prime, 1, 2)
+    counts = counts[inv].reshape(vals.shape)
     if track_squarefree:
-        return counts, sqfree
+        return counts, sqfree[inv].reshape(vals.shape)
     return counts

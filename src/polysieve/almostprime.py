@@ -67,7 +67,17 @@ class DiscSequence:
 
 def _monic_disc_slabs(n: int, R: int):
     """Yield (coeff_block, disc_block) over the height-R monic box; the
-    cubic case is vectorized per (b-slab), other degrees run pointwise."""
+    cubic case is vectorized per (b-slab), other degrees run pointwise.
+
+    Discriminants are int64.  Mahler's bound |Disc f| <= n^n M(f)^(2n-2),
+    with the Mahler measure M(f) <= ||f||_2 <= sqrt(1 + n R^2) on the box,
+    caps every value (and every term of the cubic closed form); a box whose
+    cap reaches 2^63 is refused before any work."""
+    cap = n ** n * (1 + n * R * R) ** (n - 1)
+    if cap >= 2 ** 63:
+        raise BudgetExceededError(
+            f"monic degree-{n} box of height {R}: |Disc| may reach {cap}, "
+            f"beyond the int64 range")
     span = np.arange(-R, R + 1, dtype=np.int64)
     if n == 3:
         c_grid, d_grid = np.meshgrid(span, span, indexing="ij")

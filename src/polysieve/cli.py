@@ -3,7 +3,8 @@
 Subcommands: fourier-scan, sieve-verify, count, admissibility, exponents,
 poisson-check.  An optional config file holds key=value lines mirroring the
 flags; explicit flags win.  Exit codes: 0 pass, 1 assertion failure,
-2 usage error, 3 budget refusal.
+2 usage error, 3 budget refusal, 4 internal error (any other exception,
+reported as one `internal error: <Type>: <message>` line on stderr).
 
 Output bodies are deterministic for a fixed resolved config and seed;
 timestamps live in a leading `#` comment line (CSV) and, together with wall
@@ -433,6 +434,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is reserved for tolerance failures
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

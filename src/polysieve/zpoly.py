@@ -1,6 +1,6 @@
 """Integer polynomials: exact discriminants, reductions mod p, the
 square-discriminant test for Galois group inside the alternating group,
-height-box enumeration, and elementary multiplicative number theory.
+height-box enumeration, and the 2^omega divisor identity.
 
 Discriminants are computed as (-1)^(n(n-1)/2) * Res(f, f') / a_n with the
 resultant taken as a fraction-free (Bareiss) determinant of the Sylvester
@@ -182,23 +182,6 @@ def enumerate_box(n: int, H: int, monic: bool = False,
 # multiplicative number theory surface
 # ---------------------------------------------------------------------------
 
-def omega(m: int) -> int:
-    """Distinct prime divisors of |m|; m = 0 rejected."""
-    return _ints.omega(m)
-
-
-def mobius_int(m: int) -> int:
-    return _ints.mobius(m)
-
-
-def tau_int(m: int) -> int:
-    return _ints.tau(m)
-
-
-def is_squarefree_int(m: int) -> bool:
-    return _ints.is_squarefree(m)
-
-
 @dataclass(frozen=True)
 class TauOmegaIdentity:
     lhs: int  # 2^omega(lcm(d1, d2))
@@ -241,22 +224,6 @@ def _cubic_fastpath_safe(R: int, monic: bool) -> bool:
     return worst < 2 ** 62
 
 
-def _square_mask(vals: np.ndarray) -> np.ndarray:
-    """Exact perfect-square mask for an int64 array (negatives excluded)."""
-    mask = vals > 0
-    out = np.zeros(vals.shape, dtype=bool)
-    if not mask.any():
-        return out
-    pos = vals[mask]
-    root = np.floor(np.sqrt(pos.astype(np.float64))).astype(np.int64)
-    hit = np.zeros(pos.shape, dtype=bool)
-    for delta in (-1, 0, 1):  # guard against float rounding at the boundary
-        r = root + delta
-        hit |= (r >= 0) & (r * r == pos)
-    out[mask] = hit
-    return out
-
-
 def square_disc_scan(n: int, R: int, monic: bool,
                      budget: int | None = DEFAULT_BOX_BUDGET):
     """Scan the height-R box for polynomials with square nonzero discriminant.
@@ -297,7 +264,7 @@ def _square_disc_scan_cubic(R: int, monic: bool, budget: int | None):
             else:
                 disc = _disc3_general(np.int64(lead), np.int64(b), c_grid, d_grid)
             zero_count += int(np.count_nonzero(disc == 0))
-            sq = _square_mask(disc)
+            sq = _ints.square_mask(disc)
             for ci, di in zip(*np.nonzero(sq)):
                 coeffs = (int(d_grid[ci, di]), int(c_grid[ci, di]), b,
                           1 if monic else lead)

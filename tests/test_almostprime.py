@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polysieve._ints import omega_batch
+from polysieve._ints import INT64_MR_LIMIT, is_squarefree, omega, omega_batch
 from polysieve.charsum import SmoothWeight
 from polysieve.errors import BudgetExceededError
 from polysieve.almostprime import (
@@ -27,7 +27,7 @@ from polysieve.almostprime import (
     min_admissible_r,
     multiplicity_bound,
 )
-from polysieve.zpoly import discriminant, enumerate_box, omega
+from polysieve.zpoly import discriminant, enumerate_box
 
 
 class TestDiscSequence:
@@ -74,6 +74,13 @@ class TestDiscSequence:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             build_disc_sequence(3, 100, budget=1000)
+
+    def test_int64_domain_refused(self):
+        # Mahler's bound 10^10 * 91^9 exceeds 2^63: refused before enumeration
+        with pytest.raises(BudgetExceededError, match="int64"):
+            build_disc_sequence(10, 3, radius=3, budget=None)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            count_almost_prime(10, 3, 3, budget=None)
 
     def test_quartic_generic_path(self):
         seq = build_disc_sequence(4, 1, radius=1)
@@ -201,16 +208,26 @@ class TestCountAlmostPrime:
         assert got == direct
 
     def test_squarefree_filter(self):
-        from polysieve.zpoly import is_squarefree_int
-
         got = count_almost_prime(3, 3, 3, squarefree_only=True)
         direct = 0
         for f in enumerate_box(3, 3, monic=True):
             d = discriminant(f)
-            if d != 0 and omega(d) <= 3 and is_squarefree_int(d):
+            if d != 0 and omega(d) <= 3 and is_squarefree(d):
                 direct += 1
         assert got == direct
         assert got <= count_almost_prime(3, 3, 3)
+
+    def test_oracle_h12(self):
+        # |Disc| reaches ~10^6, so cofactors above the trial-division bound
+        # go through the int64 Miller-Rabin; oracle: Bareiss + scalar omega.
+        scalar = [(omega(d), is_squarefree(d))
+                  for d in map(discriminant, enumerate_box(3, 12, monic=True))
+                  if d != 0]
+        for r in range(5):
+            for squarefree_only in (False, True):
+                want = sum(1 for o, sf in scalar
+                           if o <= r and (sf or not squarefree_only))
+                assert count_almost_prime(3, 12, r, squarefree_only) == want
 
     def test_stability_small(self):
         c1 = count_almost_prime(3, 15, 3)
@@ -221,7 +238,63 @@ class TestCountAlmostPrime:
         assert max(r1, r2) / min(r1, r2) < 2
 
 
+def assert_matches_scalar(values):
+    vals = np.asarray(values, dtype=np.int64)
+    om, flags = omega_batch(vals, track_squarefree=True)
+    assert om.shape == flags.shape == vals.shape
+    assert np.array_equal(omega_batch(vals), om)
+    flat = [int(v) for v in vals.ravel()]
+    assert om.ravel().tolist() == [omega(v) for v in flat]
+    assert flags.ravel().tolist() == [is_squarefree(v) for v in flat]
+
+
+# Strong pseudoprimes to base 2 (25326001 also to 3 and 5) whose factors
+# 23 * 89 and 2251 * 11251 both exceed cbrt(v), so v is its own cofactor.
+SPSP = (2047, 25326001)
+# 48781 * 97561: strong pseudoprime to 2, 7 and 61 at once, above
+# INT64_MR_LIMIT, so only the scalar test may see it.
+SPSP_2_7_61 = 4759123141
+# 46327 * 46337 below 2^31 and 46337 * 46349 above it.
+STRADDLE = (2146654199, 2147673613)
+# The primes 2^31 - 1 and 2^31 + 11.
+PRIMES_AT_LIMIT = (2 ** 31 - 1, 2 ** 31 + 11)
+
+
 class TestOmegaBatch:
+    def test_strong_pseudoprimes(self):
+        for v in SPSP + (SPSP_2_7_61,):
+            assert_matches_scalar([v])
+            assert omega_batch(np.array([v]))[0] == 2
+        assert_matches_scalar(SPSP + (SPSP_2_7_61,))
+
+    def test_limit_straddle(self):
+        assert STRADDLE[0] < INT64_MR_LIMIT < STRADDLE[1]
+        assert PRIMES_AT_LIMIT[0] < INT64_MR_LIMIT < PRIMES_AT_LIMIT[1]
+        for v in STRADDLE + PRIMES_AT_LIMIT:
+            assert_matches_scalar([v])
+        assert omega_batch(np.array(STRADDLE)).tolist() == [2, 2]
+        assert omega_batch(np.array(PRIMES_AT_LIMIT)).tolist() == [1, 1]
+
+    def test_witness_cofactor(self):
+        # 61 alone is a cofactor that one of the bases 2, 7, 61 is divisible by
+        assert_matches_scalar([61])
+        assert omega_batch(np.array([61]))[0] == 1
+
+    def test_prime_squares_above_cbrt(self):
+        squares = [101 ** 2, 46337 ** 2, 65537 ** 2, 3 * 1009 ** 2]
+        for v in squares:
+            assert_matches_scalar([v])
+        assert_matches_scalar(squares)
+        om, flags = omega_batch(np.array(squares), track_squarefree=True)
+        assert om.tolist() == [1, 1, 1, 2] and not flags.any()
+
+    def test_repeats_negatives_and_shape(self):
+        row = [2047, -2047, 1, -1, -12, -SPSP_2_7_61, 46337 ** 2,
+               STRADDLE[0], -STRADDLE[0], -STRADDLE[1]]
+        grid = np.array(row + row[::-1], dtype=np.int64).reshape(4, 5)
+        assert_matches_scalar(grid)
+        assert omega_batch(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
     def test_matches_scalar(self):
         rng = np.random.default_rng(3)
         vals = rng.integers(1, 10 ** 9, size=300)
@@ -230,12 +303,10 @@ class TestOmegaBatch:
             assert o == omega(v)
 
     def test_squarefree_flags(self):
-        from polysieve.zpoly import is_squarefree_int
-
         vals = np.arange(1, 500, dtype=np.int64)
         _, flags = omega_batch(vals, track_squarefree=True)
         for v, f in zip(vals.tolist(), flags.tolist()):
-            assert f == is_squarefree_int(v)
+            assert f == is_squarefree(v)
 
 
 class TestFieldExponent:

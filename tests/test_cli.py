@@ -129,6 +129,16 @@ class TestCount:
         assert len(body) == 3
         assert int(body[1].split(",")[3]) > 0
 
+    def test_almost_prime_beyond_int64_refused(self, tmp_path, capsys):
+        # degree-10 discriminants of height-3 boxes can leave the int64 range
+        rc = main(["count", "--kind", "almost-prime", "--n", "10", "--H", "3",
+                   "--r", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestAdmissibility:
     def test_table(self, tmp_path):
@@ -219,3 +229,15 @@ class TestUsage:
         rc = main(["poisson-check", "--n", "3", "--d", "1", "--H", "4",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_unexpected_error_exits_four(self, tmp_path, monkeypatch, capsys):
+        import polysieve.almostprime as almostprime_mod
+
+        def boom(*_a, **_k):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(almostprime_mod, "admissibility", boom)
+        rc = main(["admissibility", "--n", "3", "--r", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polysieve._ints import mobius, squarefree_up_to, tau
+from polysieve._ints import mobius, omega, squarefree_up_to, tau
 from polysieve.charsum import GENERAL, MONIC, SmoothWeight
 from polysieve.sieve import (
     AnBoxCount,
@@ -31,7 +31,7 @@ from polysieve.sieve import (
     selberg_weights,
     verify_modified_selberg,
 )
-from polysieve.zpoly import ZPoly, discriminant, gal_in_an, ldisc, omega
+from polysieve.zpoly import ZPoly, discriminant, gal_in_an, ldisc
 
 
 def formula_lambda(d: int, D: int) -> Fraction:

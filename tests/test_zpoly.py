@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysieve._ints import mobius, omega, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import is_squarefree_fp, mobius_pn
 from polysieve.zpoly import (
@@ -24,11 +25,8 @@ from polysieve.zpoly import (
     enumerate_box,
     gal_in_an,
     ldisc,
-    mobius_int,
-    omega,
     reduce_mod,
     square_disc_scan,
-    tau_int,
     tau_mu_sqfree,
 )
 
@@ -269,5 +267,5 @@ class TestMultiplicative:
                 assert rec.lhs == rec.rhs
 
     def test_mobius_tau_basics(self):
-        assert [mobius_int(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
-        assert [tau_int(k) for k in (1, 6, 12)] == [1, 4, 6]
+        assert [mobius(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+        assert [tau(k) for k in (1, 6, 12)] == [1, 4, 6]
