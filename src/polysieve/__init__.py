@@ -27,7 +27,6 @@ from .charsum import (
     Phase,
     SmoothWeight,
     WeightTable,
-    box_phase_sum,
     dft_full,
     dft_point,
     dft_point_direct,

@@ -65,9 +65,13 @@ class DiscSequence:
         return zip(self.ms.tolist(), self.masses.tolist())
 
 
-def _monic_disc_slabs(n: int, R: int):
+def _monic_disc_slabs(n: int, R: int, budget: int | None):
     """Yield (coeff_block, disc_block) over the height-R monic box; the
     cubic case is vectorized per (b-slab), other degrees run pointwise.
+
+    The budget is charged before any work: 1 per lattice point on the
+    vectorized cubic route, (2n-1)^3 per point elsewhere, the cost of a
+    Bareiss determinant on the Sylvester matrix.
 
     Discriminants are int64.  Mahler's bound |Disc f| <= n^n M(f)^(2n-2),
     with the Mahler measure M(f) <= ||f||_2 <= sqrt(1 + n R^2) on the box,
@@ -78,6 +82,11 @@ def _monic_disc_slabs(n: int, R: int):
         raise BudgetExceededError(
             f"monic degree-{n} box of height {R}: |Disc| may reach {cap}, "
             f"beyond the int64 range")
+    points = (2 * R + 1) ** n
+    cost = points if n == 3 else points * (2 * n - 1) ** 3
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"box of {points} lattice points costs {cost}, over budget {budget}")
     span = np.arange(-R, R + 1, dtype=np.int64)
     if n == 3:
         c_grid, d_grid = np.meshgrid(span, span, indexing="ij")
@@ -112,9 +121,6 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
-    count = (2 * R + 1) ** n
-    if budget is not None and count > budget:
-        raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
     vals_acc: list[np.ndarray] = []
     mass_acc: list[np.ndarray] = []
     acc_len = 0
@@ -131,7 +137,7 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         acc_len = uniq.size
         merge_at = max(merge_at, 2 * acc_len)
 
-    for coeffs, discs in _monic_disc_slabs(n, R):
+    for coeffs, discs in _monic_disc_slabs(n, R, budget):
         w = phi.amplitude * phi.coord_profile(coeffs / H).prod(axis=1)
         zmask = discs == 0
         if zmask.any():
@@ -220,11 +226,8 @@ def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
     requiring the discriminant to be squarefree)."""
     if n < 2 or H < 1 or r < 0:
         raise ValueError("need n >= 2, H >= 1, r >= 0")
-    count = (2 * H + 1) ** n
-    if budget is not None and count > budget:
-        raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
     total = 0
-    for _coeffs, discs in _monic_disc_slabs(n, H):
+    for _coeffs, discs in _monic_disc_slabs(n, H, budget):
         live = discs != 0
         if not live.any():
             continue
@@ -263,12 +266,3 @@ def multiplicity_bound(n: int, H: float, disc: int) -> float:
         raise ValueError("need H >= 2")
     return H * math.log(H) ** (n - 1) * abs(disc) ** (-1 / (n * n - n))
 
-
-def mertens_product(z: float) -> tuple[float, float]:
-    """The Euler product prod_{p < z} (1 - 1/p) next to its Mertens
-    approximation e^(-gamma) / log z."""
-    prod = 1.0
-    for p in _ints.primes_up_to(int(math.ceil(z)) - 1):
-        if p < z:
-            prod *= 1 - 1 / p
-    return prod, math.exp(-0.5772156649015329) / math.log(z)

@@ -25,7 +25,9 @@ Weight rules
 ------------
 ``mobius-half``            (1 + (-1)^(n+1) * mu_{p,n}(f)) / 2, values {0, 1/2, 1}
 ``squarefree-complement``  1 on non-squarefree monic f, else 0 (monic only)
-``custom``                 any caller-supplied table
+
+A `WeightTable` also wraps any caller-built array of the right shape; its
+rule name is then only a label.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ GENERAL = "general"
 MONIC = "monic"
 RULE_MOBIUS_HALF = "mobius-half"
 RULE_SQUAREFREE = "squarefree-complement"
-RULE_ODD_INDICATOR = "odd-indicator"
 _RULE_ALIASES = {"squarefree": RULE_SQUAREFREE}
 
 DEFAULT_OPS_BUDGET = 1_000_000_000
@@ -58,6 +59,11 @@ def _check_mode(mode: str) -> str:
     if mode not in (GENERAL, MONIC):
         raise ValueError(f"mode must be '{GENERAL}' or '{MONIC}', got {mode!r}")
     return mode
+
+
+def space_dim(n: int, mode: str) -> int:
+    """Coordinates of V_n: n+1 in general mode, n on the monic slice."""
+    return n + 1 if _check_mode(mode) == GENERAL else n
 
 
 def _canon_rule(rule: str) -> str:
@@ -103,7 +109,7 @@ class WeightTable:
 
     @property
     def dim(self) -> int:
-        return self.n + 1 if self.mode == GENERAL else self.n
+        return space_dim(self.n, self.mode)
 
     @property
     def size(self) -> int:
@@ -143,10 +149,6 @@ def squarefree_complement_weight(p: int, n: int) -> WeightTable:
     return weight_table(p, n, MONIC, RULE_SQUAREFREE)
 
 
-def custom_weight(p: int, n: int, mode: str, values: np.ndarray) -> WeightTable:
-    return WeightTable(p, n, mode, "custom", np.asarray(values))
-
-
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
     mode = _check_mode(mode)
@@ -171,10 +173,6 @@ def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
         if n < 2:
             raise ValueError("squarefree-complement weight needs n >= 2")
         return WeightTable(p, n, mode, rule, _monic_table(p, n, rule))
-    if rule == RULE_ODD_INDICATOR:
-        # sharp indicator of odd reductions: exactly where the half weight is 1
-        half = weight_table(p, n, mode, RULE_MOBIUS_HALF)
-        return WeightTable(p, n, mode, rule, (half.values == 1.0).astype(np.float64))
     raise ValueError(f"unknown weight rule {rule!r}")
 
 
@@ -218,10 +216,11 @@ def pair(f, u: Phase | Sequence[int], d: int | None = None) -> int:
 
 def dft_full(w: WeightTable, budget: int | None = DEFAULT_OPS_BUDGET) -> np.ndarray:
     """Full transform table over all phases mod p.  The budget models the
-    cost of the naive quadratic scan (table size times phase count)."""
-    if budget is not None and w.size ** 2 > budget:
+    FFT's cost, size * ceil(log2 size)."""
+    cost = w.size * math.ceil(math.log2(w.size))
+    if budget is not None and cost > budget:
         raise BudgetExceededError(
-            f"full transform scan cost {w.size ** 2} exceeds budget {budget}; use dft_point")
+            f"full transform cost {cost} exceeds budget {budget}; use dft_point")
     return w.dft()
 
 
@@ -239,7 +238,7 @@ def dft_point(d: int, n: int, mode: str, rule: str, u: Phase | Sequence[int]) ->
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
     comps = u.components if isinstance(u, Phase) else tuple(int(c) % d for c in u)
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
+    dim = space_dim(n, mode)
     if len(comps) != dim:
         raise ValueError("phase length does not match the mode")
     val = complex(1.0)
@@ -251,7 +250,7 @@ def dft_point(d: int, n: int, mode: str, rule: str, u: Phase | Sequence[int]) ->
 
 def product_weight_values(d: int, n: int, mode: str, rule: str) -> np.ndarray:
     """The product weight on V_n(Z/dZ) as a dense array (small d only)."""
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
+    dim = space_dim(n, mode)
     if d ** dim > _TABLE_SIZE_CAP:
         raise BudgetExceededError("product table too large")
     base = np.arange(d)
@@ -267,7 +266,7 @@ def dft_point_direct(d: int, n: int, mode: str, rule: str,
                      u: Phase | Sequence[int]) -> complex:
     """Independent oracle: direct summation over all of V_n(Z/dZ)."""
     comps = u.components if isinstance(u, Phase) else tuple(int(c) % d for c in u)
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
+    dim = space_dim(n, mode)
     if len(comps) != dim:
         raise ValueError("phase length does not match the mode")
     vals = product_weight_values(d, n, mode, rule)
@@ -289,75 +288,20 @@ def dft_point_direct(d: int, n: int, mode: str, rule: str,
 class PhaseScan:
     max_abs: float
     argmax: tuple[int, ...]
-    kind: str  # "exhaustive" | "sampled"
-    samples: int
 
 
-def max_nonzero_phase(w: WeightTable, budget: int | None = DEFAULT_OPS_BUDGET,
-                      seed: int = 0, min_samples: int = 10_000) -> PhaseScan:
-    """Largest |psi_hat(u)| over u != 0.
-
-    When the naive scan cost (table size times phase count) fits the budget
-    the scan is exhaustive over the cached transform, with ties broken by
-    the lexicographically smallest phase.  Otherwise at least `min_samples`
-    distinct random phases are evaluated by direct summation and the result
-    is labeled "sampled".
-    """
-    size = w.size
-    if budget is None or size * size <= budget:
-        mags = np.abs(w.dft()).ravel().copy()
-        mags[0] = -1.0
-        idx = int(np.argmax(mags))
-        arg = tuple(int(x) for x in np.unravel_index(idx, w.values.shape))
-        return PhaseScan(float(mags[idx]), arg, "exhaustive", size - 1)
-    rng = np.random.default_rng(seed)
-    count = min(min_samples, size - 1)
-    lin = np.sort(rng.choice(size - 1, size=count, replace=False) + 1)
-    coords = np.stack([ax.ravel() for ax in np.indices(w.values.shape)], axis=1)
-    flat_vals = w.values.ravel()
-    best = -1.0
-    best_arg: tuple[int, ...] = ()
-    for l in lin.tolist():
-        u = np.unravel_index(l, w.values.shape)
-        ph = coords @ np.asarray(u, dtype=np.int64)
-        val = (flat_vals * np.exp(2j * np.pi * (ph % w.p) / w.p)).sum() / size
-        mag = abs(val)
-        if mag > best:
-            best = mag
-            best_arg = tuple(int(x) for x in u)
-    return PhaseScan(float(best), best_arg, "sampled", count)
-
-
-@dataclass(frozen=True)
-class BoxPhaseSum:
-    total: complex
-    bound: float
-    ratio: float
-
-
-def box_phase_sum(d: int, n: int, mode: str, rule: str, X: int, alpha: float,
-                  budget: int | None = DEFAULT_OPS_BUDGET) -> BoxPhaseSum:
-    """Sum of psi_hat_d(u) over nonzero integer phases with |u_i| <= X,
-    reported against the envelope X^dim * d^(-alpha)."""
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
-    if X < 1:
-        return BoxPhaseSum(0j, 0.0, 0.0)
-    terms = (2 * X + 1) ** dim - 1
-    if budget is not None and terms > budget:
-        raise BudgetExceededError(f"{terms} phase evaluations exceed budget")
-    factors = _crt_factors(d, n, mode, rule)
-    total = 0j
-    for u in product(range(-X, X + 1), repeat=dim):
-        if all(c == 0 for c in u):
-            continue
-        val = complex(1.0)
-        for p, alpha_p, tbl in factors:
-            idx = tuple((alpha_p * c) % p for c in u)
-            val *= tbl.dft()[idx]
-        total += val
-    bound = X ** dim * d ** (-alpha)
-    ratio = abs(total) / bound if bound > 0 else 0.0
-    return BoxPhaseSum(total, bound, ratio)
+def max_nonzero_phase(w: WeightTable) -> PhaseScan:
+    """Largest |psi_hat(u)| over u != 0, scanned exhaustively over the
+    cached transform; ties go to the first maximal phase in C order (the
+    lexicographically smallest)."""
+    # FFT rounding (far below 1e-12 * max|w|) can split an exact tie
+    tol = 1e-12 * float(np.abs(w.values).max())
+    mags = np.abs(w.dft()).ravel()
+    mags[0] = -1.0
+    top = float(mags.max())
+    idx = int(np.argmax(mags >= top - tol))
+    arg = tuple(int(x) for x in np.unravel_index(idx, w.values.shape))
+    return PhaseScan(top, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +351,7 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
     """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
     Gaussian folded into wrapped per-residue weights, so no truncation
     enters beyond machine precision."""
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
+    dim = space_dim(n, mode)
     R = phi.lattice_radius(H, 1e-18)
     span = np.arange(-R - d, R + d + 1)
     profile = phi.coord_profile(span / H)
@@ -454,7 +398,7 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     Gaussian tails fall below machine precision."""
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
-    dim = n + 1 if _check_mode(mode) == GENERAL else n
+    dim = space_dim(n, mode)
     phi = phi if phi is not None else SmoothWeight()
     lhs = lattice_weight_sum(d, n, mode, rule, phi, H)
 

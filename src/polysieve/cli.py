@@ -146,15 +146,14 @@ def cmd_fourier_scan(args) -> int:
     for p, n, mode in cells:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
-        if p ** (n + 1 if mode == charsum.GENERAL else n) > resolved["budget"]:
+        if p ** charsum.space_dim(n, mode) > resolved["budget"]:
             raise BudgetExceededError(f"table for p={p}, n={n} exceeds the budget")
 
     def run_cell(cell):
         p, n, mode = cell
         w = charsum.weight_table(p, n, mode, rule)
         zero = w.zero_phase().real
-        scan = charsum.max_nonzero_phase(w, budget=resolved["budget"],
-                                         seed=resolved["seed"])
+        scan = charsum.max_nonzero_phase(w)
         alpha = charsum.decay_alpha(rule, n)
         ok = True
         if rule == charsum.RULE_MOBIUS_HALF:
@@ -164,7 +163,7 @@ def cmd_fourier_scan(args) -> int:
             ok &= scan.max_abs <= 3.5 / p ** 2
         row = (p, n, mode, rule, zero, scan.max_abs,
                ":".join(str(c) for c in scan.argmax),
-               scan.max_abs * p ** alpha, scan.kind)
+               scan.max_abs * p ** alpha, "exhaustive")
         return row, ok
 
     with _pool(resolved) as pool:
@@ -192,7 +191,7 @@ def cmd_sieve_verify(args) -> int:
 
     def run_cell(cell):
         n, H, D, mode = cell
-        dim = n if mode == charsum.MONIC else n + 1
+        dim = charsum.space_dim(n, mode)
         sigma = resolved["sigma"]
         phi = (charsum.SmoothWeight.box_calibrated(dim, sigma) if sigma
                else charsum.SmoothWeight.box_calibrated(dim))
@@ -366,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file; flags override it")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--budget", type=int, help="global elementary-operation cap")
-    common.add_argument("--seed", type=int, help="seed for sampled scans")
+    common.add_argument("--seed", type=int,
+                        help="no effect; echoed in the report config only")
     common.add_argument("--threads", type=int, help="worker pool size")
     common.add_argument("--sigma", type=float, help="Gaussian scale parameter")
 

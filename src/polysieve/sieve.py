@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _ints
-from .charsum import MONIC, SmoothWeight, _check_mode, lattice_weight_sum
+from .charsum import MONIC, SmoothWeight, lattice_weight_sum, space_dim
 from .errors import BudgetExceededError, SieveInequalityError
 from .fppoly import mobius_pn
 from .zpoly import ZPoly, reduce_mod, square_disc_scan
@@ -203,10 +203,9 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     and nonzero-discriminant conditions, so truncating both to the same
     Gaussian support preserves the inequality term by term.
     """
-    _check_mode(mode)
+    dim = space_dim(n, mode)
     if D < 1 or H < 1 or n < 1:
         raise ValueError("need n >= 1, H >= 1, D >= 1")
-    dim = n if mode == MONIC else n + 1
     phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
     start = time.perf_counter()
     weights = selberg_weights(D)
@@ -228,48 +227,6 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     if strict and margin < -MARGIN_TOLERANCE:
         raise SieveInequalityError(f"sieve inequality violated: {report}")
     return report
-
-
-def poisson_main_diagnostic(n: int, H: int, D: int, mode: str = MONIC,
-                            phi: SmoothWeight | None = None) -> tuple[float, float, float]:
-    """Main-term approximation of the right side,
-    sum_{d1,d2} lambda lambda H^dim phi_hat(0) / 2^omega([d1,d2]),
-    together with the exact right side and their difference."""
-    _check_mode(mode)
-    dim = n if mode == MONIC else n + 1
-    phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
-    weights = selberg_weights(D)
-    main = Fraction(0)
-    for d1, l1 in weights.lam.items():
-        for d2, l2 in weights.lam.items():
-            main += l1 * l2 / 2 ** _ints.omega(lcm(d1, d2))
-    main_val = float(main) * H ** dim * phi.fourier_zero(dim)
-    rhs = 0.0
-    pair_weight: dict[int, Fraction] = defaultdict(Fraction)
-    for d1, l1 in weights.lam.items():
-        for d2, l2 in weights.lam.items():
-            pair_weight[lcm(d1, d2)] += l1 * l2
-    for m, w in pair_weight.items():
-        rhs += float(w) * lattice_weight_sum(m, n, mode, "mobius-half", phi, H)
-    return main_val, rhs, rhs - main_val
-
-
-def classical_sieve_rhs(n: int, H: int, D: int, mode: str = MONIC,
-                        phi: SmoothWeight | None = None) -> float:
-    """Diagnostic: the classical-sieve right side, where the local condition
-    is the sharp indicator of odd reductions instead of the half weight."""
-    _check_mode(mode)
-    dim = n if mode == MONIC else n + 1
-    phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
-    weights = selberg_weights(D)
-    pair_weight: dict[int, Fraction] = defaultdict(Fraction)
-    for d1, l1 in weights.lam.items():
-        for d2, l2 in weights.lam.items():
-            pair_weight[lcm(d1, d2)] += l1 * l2
-    total = 0.0
-    for m, w in pair_weight.items():
-        total += float(w) * lattice_weight_sum(m, n, mode, "odd-indicator", phi, H)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -83,20 +83,16 @@ def test_criterion_02_zero_phase_exactness():
            started, limit=120)
 
 
-SQUAREFREE_SCANS = ([(p, 3, "exhaustive") for p in (3, 5, 7, 11, 13)]
-                    + [(p, 4, "exhaustive") for p in (3, 5, 7)]
-                    + [(p, 4, "sampled") for p in (11, 13)])
+SQUAREFREE_SCANS = [(p, n) for n in (3, 4) for p in (3, 5, 7, 11, 13)]
 
 
 def test_criterion_03_squarefree_decay():
     started = time.perf_counter()
-    for p, n, kind in SQUAREFREE_SCANS:
+    for p, n in SQUAREFREE_SCANS:
         w = weight_table(p, n, MONIC, "squarefree-complement")
-        budget = None if kind == "exhaustive" else 100_000_000
-        scan = max_nonzero_phase(w, budget=budget, seed=1)
-        assert scan.kind == kind
+        scan = max_nonzero_phase(w)
         assert scan.max_abs <= 3.5 / p ** 2, (p, n, scan)
-    report(3, "squarefree-complement decay max |psi_hat| <= 3.5 p^-2",
+    report(3, "squarefree-complement decay max |psi_hat| <= 3.5 p^-2 over all phases",
            started, limit=600)
 
 
@@ -107,7 +103,6 @@ def test_criterion_04_mobius_decay_trend():
     for p in (3, 5, 7):
         w = weight_table(p, n, GENERAL, "mobius-half")
         scan = max_nonzero_phase(w)
-        assert scan.kind == "exhaustive"
         ratios[p] = scan.max_abs * p ** ((n - 1) / 4)
     assert ratios[7] <= 2 * ratios[3], ratios
     report(4, f"mobius-half normalized decay C(7)={ratios[7]:.3f} "
@@ -127,7 +122,7 @@ def test_criterion_05_crt_and_parseval():
     tables = [weight_table(p, n, mode, "mobius-half")
               for p, n in ZERO_PHASE_GRID for mode in (GENERAL, MONIC)]
     tables += [weight_table(p, n, MONIC, "squarefree-complement")
-               for p, n, _ in SQUAREFREE_SCANS]
+               for p, n in SQUAREFREE_SCANS]
     tables += [weight_table(p, 3, GENERAL, "mobius-half") for p in (3, 5, 7)]
     for w in tables:
         lhs = float((np.abs(w.dft()) ** 2).sum())

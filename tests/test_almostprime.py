@@ -23,7 +23,6 @@ from polysieve.almostprime import (
     delta_r,
     density_remainder,
     field_exponent,
-    mertens_product,
     min_admissible_r,
     multiplicity_bound,
 )
@@ -74,6 +73,18 @@ class TestDiscSequence:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             build_disc_sequence(3, 100, budget=1000)
+
+    def test_budget_charges_per_point_cost(self):
+        # cubic closed form: 1 per point; other degrees: 7^3 per quartic,
+        # the Bareiss cost on the 7x7 Sylvester matrix
+        build_disc_sequence(3, 1, radius=1, budget=27)
+        build_disc_sequence(4, 1, radius=1, budget=81 * 343)
+        with pytest.raises(BudgetExceededError):
+            build_disc_sequence(3, 1, radius=1, budget=26)
+        with pytest.raises(BudgetExceededError):
+            build_disc_sequence(4, 1, radius=1, budget=81 * 343 - 1)
+        with pytest.raises(BudgetExceededError):
+            count_almost_prime(4, 1, 3, budget=81 * 343 - 1)
 
     def test_int64_domain_refused(self):
         # Mahler's bound 10^10 * 91^9 exceeds 2^63: refused before enumeration
@@ -343,10 +354,3 @@ class TestMultiplicityBound:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             multiplicity_bound(3, 10, 0)
-
-
-class TestMertens:
-    def test_within_ten_percent(self):
-        for z in (10, 30):
-            prod, approx = mertens_product(z)
-            assert abs(prod - approx) < 0.1 * approx

@@ -1,6 +1,7 @@
 """CLI behaviors: exit codes, report formats, determinism, config merging."""
 
 import json
+import time
 
 import pytest
 
@@ -42,13 +43,14 @@ class TestFourierScan:
         _, body = read_csv(out)
         assert len(body) == 1  # header only
 
-    def test_sampled_label_under_budget(self, tmp_path):
+    def test_small_budget_still_exhaustive(self, tmp_path):
+        # the budget caps the table size (343 here), not a quadratic scan
         out = tmp_path / "scan.csv"
         rc = main(["fourier-scan", "--p", "7", "--n", "3", "--rule", "squarefree",
                    "--budget", "5000", "--out", str(out)])
         assert rc == 0
         _, body = read_csv(out)
-        assert body[1].endswith("sampled")
+        assert body[1].endswith(",exhaustive")
 
     def test_budget_refusal(self, tmp_path):
         rc = main(["fourier-scan", "--p", "7", "--n", "3", "--budget", "10",
@@ -138,6 +140,17 @@ class TestCount:
         assert err.startswith("budget refusal:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_almost_prime_bareiss_cost_refused(self, tmp_path, capsys):
+        # 61^4 = 13.8M quartics fit a 2e9 point budget, but at 7^3 per
+        # Bareiss determinant they cost 4.7e9
+        started = time.perf_counter()
+        rc = main(["count", "--kind", "almost-prime", "--n", "4", "--H", "30",
+                   "--r", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
 
 
 class TestAdmissibility:

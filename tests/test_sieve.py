@@ -19,13 +19,11 @@ from polysieve.sieve import (
     AnBoxCount,
     LocalMatrix,
     SieveWeights,
-    classical_sieve_rhs,
     count_an_box,
     diagonalization_sum,
     hit_exponent,
     nu_weight,
     optimal_d,
-    poisson_main_diagnostic,
     qf_gram,
     qf_value,
     selberg_weights,
@@ -199,12 +197,6 @@ class TestVerify:
         # a weight vector that breaks lambda_1 = 1 cannot be built at all
         with pytest.raises(ValueError):
             SieveWeights(4, 3, {1: Fraction(0), 2: Fraction(1)}, {})
-
-    def test_diagnostics(self):
-        main, rhs, gap = poisson_main_diagnostic(3, 4, 4, MONIC)
-        assert rhs > 0 and abs(gap) < 0.2 * rhs
-        classical = classical_sieve_rhs(3, 3, 3, MONIC)
-        assert math.isfinite(classical)
 
 
 class TestExponents:
