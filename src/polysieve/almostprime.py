@@ -19,10 +19,9 @@ import numpy as np
 
 from . import _ints
 from .charsum import SmoothWeight
-from .errors import BudgetExceededError
-from .zpoly import ZPoly, discriminant, disc_values_monic3
-
-DEFAULT_BOX_BUDGET = 100_000_000
+from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks
+# rebound here too by perfbench/tracing.py, which raises if either is missing
+from .zpoly import discriminant, disc_values_monic3  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -65,52 +64,6 @@ class DiscSequence:
         return zip(self.ms.tolist(), self.masses.tolist())
 
 
-def _monic_disc_slabs(n: int, R: int, budget: int | None):
-    """Yield (coeff_block, disc_block) over the height-R monic box; the
-    cubic case is vectorized per (b-slab), other degrees run pointwise.
-
-    The budget is charged before any work: 1 per lattice point on the
-    vectorized cubic route, (2n-1)^3 per point elsewhere, the cost of a
-    Bareiss determinant on the Sylvester matrix.
-
-    Discriminants are int64.  Mahler's bound |Disc f| <= n^n M(f)^(2n-2),
-    with the Mahler measure M(f) <= ||f||_2 <= sqrt(1 + n R^2) on the box,
-    caps every value (and every term of the cubic closed form); a box whose
-    cap reaches 2^63 is refused before any work."""
-    cap = n ** n * (1 + n * R * R) ** (n - 1)
-    if cap >= 2 ** 63:
-        raise BudgetExceededError(
-            f"monic degree-{n} box of height {R}: |Disc| may reach {cap}, "
-            f"beyond the int64 range")
-    points = (2 * R + 1) ** n
-    cost = points if n == 3 else points * (2 * n - 1) ** 3
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"box of {points} lattice points costs {cost}, over budget {budget}")
-    span = np.arange(-R, R + 1, dtype=np.int64)
-    if n == 3:
-        c_grid, d_grid = np.meshgrid(span, span, indexing="ij")
-        for b in span.tolist():
-            disc = disc_values_monic3(np.int64(b), c_grid, d_grid)
-            coeffs = np.stack([d_grid.ravel(), c_grid.ravel(),
-                               np.full(disc.size, b, dtype=np.int64)], axis=1)
-            yield coeffs, disc.ravel()
-    else:
-        from itertools import product
-
-        rows = []
-        discs = []
-        for vec in product(span.tolist(), repeat=n):
-            f = ZPoly(tuple(vec[::-1]) + (1,), n, True)
-            rows.append(vec[::-1])
-            discs.append(discriminant(f))
-            if len(rows) >= 4096:
-                yield np.array(rows, dtype=np.int64), np.array(discs, dtype=np.int64)
-                rows, discs = [], []
-        if rows:
-            yield np.array(rows, dtype=np.int64), np.array(discs, dtype=np.int64)
-
-
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         radius: int | None = None,
                         budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
@@ -137,7 +90,7 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         acc_len = uniq.size
         merge_at = max(merge_at, 2 * acc_len)
 
-    for coeffs, discs in _monic_disc_slabs(n, R, budget):
+    for coeffs, discs in _disc_blocks(n, R, True, budget):
         w = phi.amplitude * phi.coord_profile(coeffs / H).prod(axis=1)
         zmask = discs == 0
         if zmask.any():
@@ -227,7 +180,7 @@ def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
     if n < 2 or H < 1 or r < 0:
         raise ValueError("need n >= 2, H >= 1, r >= 0")
     total = 0
-    for _coeffs, discs in _monic_disc_slabs(n, H, budget):
+    for _coeffs, discs in _disc_blocks(n, H, True, budget):
         live = discs != 0
         if not live.any():
             continue

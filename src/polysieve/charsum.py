@@ -151,7 +151,10 @@ def squarefree_complement_weight(p: int, n: int) -> WeightTable:
 
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
-    mode = _check_mode(mode)
+    size = p ** space_dim(n, mode)
+    if size > _TABLE_SIZE_CAP:
+        raise BudgetExceededError(
+            f"{mode} weight table for p={p}, n={n} has {size} entries, over {_TABLE_SIZE_CAP}")
     rule = _canon_rule(rule)
     if rule == RULE_MOBIUS_HALF:
         if n < 3:
@@ -214,10 +217,14 @@ def pair(f, u: Phase | Sequence[int], d: int | None = None) -> int:
     return sum(c * v for c, v in zip(coeffs, comps)) % d
 
 
+def fft_cost(size: int) -> int:
+    """Modelled cost of a full transform of a table of this size."""
+    return size * math.ceil(math.log2(size))
+
+
 def dft_full(w: WeightTable, budget: int | None = DEFAULT_OPS_BUDGET) -> np.ndarray:
-    """Full transform table over all phases mod p.  The budget models the
-    FFT's cost, size * ceil(log2 size)."""
-    cost = w.size * math.ceil(math.log2(w.size))
+    """Full transform table over all phases mod p, charged `fft_cost`."""
+    cost = fft_cost(w.size)
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"full transform cost {cost} exceeds budget {budget}; use dft_point")
@@ -359,20 +366,20 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
     np.add.at(theta, span % d, profile)
     if d == 1:
         return phi.amplitude * float(theta[0]) ** dim
-    base = np.arange(d)
-    tables = [(weight_table(p, n, mode, rule).values, base % p)
-              for p in prime_factors(d)]
+    tables = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
     if dim == 1:
         acc = np.ones(d)
-        for vals, idx in tables:
-            acc = acc * vals[idx]
+        for p, vals in tables:
+            acc = acc * vals[np.arange(d) % p]
         return phi.amplitude * float(np.dot(acc, theta))
     total = 0.0
+    k = dim - 1
     for r0 in range(d):
-        slab = np.ones((d,) * (dim - 1))
-        for vals, idx in tables:
-            slab = slab * vals[int(idx[r0])][np.ix_(*([idx] * (dim - 1)))]
-        for _ in range(dim - 1):
+        slab = np.ones((d,) * k)
+        for p, vals in tables:
+            # index r = q p + (r mod p): broadcast the table over q, in place
+            slab.reshape((d // p, p) * k)[...] *= vals[r0 % p].reshape((1, p) * k)
+        for _ in range(k):
             slab = np.tensordot(slab, theta, axes=([-1], [0]))
         total += float(theta[r0]) * float(slab)
     return phi.amplitude * total

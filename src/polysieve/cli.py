@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -112,13 +111,6 @@ def _emit_csv(resolved: dict, columns: list[str], rows: list[tuple]) -> None:
     _write_text(resolved.get("out"), "\n".join(lines) + "\n")
 
 
-def _pool(resolved: dict) -> ThreadPoolExecutor:
-    import os
-
-    workers = resolved.get("threads") or os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=max(1, workers))
-
-
 def _modes(resolved: dict) -> list[str]:
     mode = resolved["mode"]
     if mode == "both":
@@ -146,8 +138,11 @@ def cmd_fourier_scan(args) -> int:
     for p, n, mode in cells:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
-        if p ** charsum.space_dim(n, mode) > resolved["budget"]:
-            raise BudgetExceededError(f"table for p={p}, n={n} exceeds the budget")
+        cost = charsum.fft_cost(p ** charsum.space_dim(n, mode))
+        if cost > resolved["budget"]:
+            raise BudgetExceededError(
+                f"transform of the p={p}, n={n} {mode} table costs {cost}, "
+                f"over budget {resolved['budget']}")
 
     def run_cell(cell):
         p, n, mode = cell
@@ -166,8 +161,7 @@ def cmd_fourier_scan(args) -> int:
                scan.max_abs * p ** alpha, "exhaustive")
         return row, ok
 
-    with _pool(resolved) as pool:
-        results = list(pool.map(run_cell, cells))
+    results = [run_cell(cell) for cell in cells]
     rows = [row for row, _ in results]
     _emit_csv(resolved, ["p", "n", "mode", "rule", "zero_phase", "max_abs",
                          "argmax_phase", "normalized_ratio", "scan_kind"], rows)
@@ -201,8 +195,7 @@ def cmd_sieve_verify(args) -> int:
                 "rhs": rep.rhs, "margin": rep.margin, "radius": rep.radius,
                 "wall_time": rep.wall_time}
 
-    with _pool(resolved) as pool:
-        results = list(pool.map(run_cell, cells))
+    results = [run_cell(cell) for cell in cells]
     all_pass = all(r["margin"] >= -sieve.MARGIN_TOLERANCE for r in results)
     doc = {
         "version": f"polysieve {__version__}",
@@ -342,8 +335,7 @@ def cmd_poisson_check(args) -> int:
                                     budget=resolved["budget"])
         return (n, mode, rule, d, H, rep.lhs, rep.rhs, rep.abs_diff, rep.rel_diff)
 
-    with _pool(resolved) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = [run_cell(cell) for cell in cells]
     _emit_csv(resolved, ["n", "mode", "rule", "d", "H", "lhs", "rhs",
                          "abs_diff", "rel_diff"], rows)
     return 0 if all(row[-1] <= POISSON_REL_TOL for row in rows) else 1
@@ -367,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, help="global elementary-operation cap")
     common.add_argument("--seed", type=int,
                         help="no effect; echoed in the report config only")
-    common.add_argument("--threads", type=int, help="worker pool size")
+    common.add_argument("--threads", type=int,
+                        help="no effect; echoed in the report config only")
     common.add_argument("--sigma", type=float, help="Gaussian scale parameter")
 
     fourier = sub.add_parser("fourier-scan", parents=[common],

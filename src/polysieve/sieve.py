@@ -169,19 +169,14 @@ def _an_weighted_lattice_sum(n: int, mode: str, phi: SmoothWeight, H: int,
     """Left side: sum over square-discriminant lattice polynomials of
     phi(f/H) / 2^omega(LDisc f), truncated where the Gaussian is below
     machine precision (the discarded terms are nonnegative)."""
-    monic = mode == MONIC
     R = phi.lattice_radius(H, 1e-16)
-    survivors, _zero = square_disc_scan(n, R, monic, budget=budget)
+    survivors, _zero = square_disc_scan(n, R, mode == MONIC, budget=budget)
     if not survivors:
         return 0.0, R
     coeff_rows = np.array([c for c, _ in survivors], dtype=np.int64)
-    discs = [d for _, d in survivors]
-    if monic:
-        ldiscs = np.array([abs(d) for d in discs], dtype=np.int64)
-        free = coeff_rows[:, :n]
-    else:
-        ldiscs = np.array([abs(int(c[-1]) * d) for (c, d) in survivors], dtype=np.int64)
-        free = coeff_rows
+    free = coeff_rows[:, :space_dim(n, mode)]
+    # survivors end with a_n (1 when monic), so this is |LDisc| in both modes
+    ldiscs = np.array([abs(c[-1] * d) for c, d in survivors], dtype=np.int64)
     om = _ints.omega_batch(ldiscs)
     gauss = phi.amplitude * np.exp(
         -math.pi * (free.astype(np.float64) / H) ** 2 / phi.sigma ** 2).prod(axis=1)
@@ -274,10 +269,7 @@ def count_an_box(n: int, H: int, monic: bool,
     survivors, zero_count = square_disc_scan(n, H, monic, budget=budget)
     weighted = Fraction(0)
     if survivors:
-        if monic:
-            lds = np.array([abs(d) for _, d in survivors], dtype=np.int64)
-        else:
-            lds = np.array([abs(c[-1] * d) for c, d in survivors], dtype=np.int64)
+        lds = np.array([abs(c[-1] * d) for c, d in survivors], dtype=np.int64)
         for om in _ints.omega_batch(lds).tolist():
             weighted += Fraction(1, 2 ** om)
     count = len(survivors) + (zero_count if include_degenerate else 0)

@@ -4,10 +4,15 @@ height-box enumeration, and the 2^omega divisor identity.
 
 Discriminants are computed as (-1)^(n(n-1)/2) * Res(f, f') / a_n with the
 resultant taken as a fraction-free (Bareiss) determinant of the Sylvester
-matrix, so every value is an exact integer.  A vectorized int64 fast path
-covers cubic boxes, where the classical closed form is overflow-safe for
-every height this package enumerates; it is cross-checked against the
-Sylvester route in the test suite.
+matrix, so every value is an exact integer.
+
+One enumerator, `_disc_blocks`, evaluates discriminants over a height box
+for every scan: the square-discriminant scan here and the almost-prime
+histogram and counts.  Cubic boxes go through the vectorized int64 closed
+form, cross-checked against the Sylvester route in the test suite; other
+degrees run the Sylvester route in blocks.  Values are int64 and there is
+no Python-integer fallback: a box whose Hadamard bound on |LDisc| reaches
+2^63 is refused with BudgetExceededError before any work.
 """
 
 from __future__ import annotations
@@ -202,26 +207,79 @@ def tau_mu_sqfree(d1: int, d2: int) -> TauOmegaIdentity:
 
 
 # ---------------------------------------------------------------------------
-# vectorized cubic scans
+# discriminants over a box
 # ---------------------------------------------------------------------------
 
-def _disc3_monic(b, c, d):
-    # x^3 + b x^2 + c x + d
-    return (18 * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2
-            - 4 * c ** 3 - 27 * d ** 2)
+_BLOCK = 4096  # polynomials per block on the Sylvester route
 
 
-def _disc3_general(a, b, c, d):
+def _disc3(a, b, c, d):
     # a x^3 + b x^2 + c x + d
     return (18 * a * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2
             - 4 * a * c ** 3 - 27 * a ** 2 * d ** 2)
 
 
-def _cubic_fastpath_safe(R: int, monic: bool) -> bool:
-    # int64 bound on |disc| over the box, with headroom
-    worst = (18 * R ** 4 + 4 * R ** 4 + R ** 4 + 4 * R ** 4 + 27 * R ** 4) if not monic \
-        else (18 * R ** 3 + 4 * R ** 4 + R ** 4 + 4 * R ** 3 + 27 * R ** 2)
-    return worst < 2 ** 62
+def disc_values_monic3(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Vectorized monic-cubic discriminants (int64 inputs)."""
+    return _disc3(1, b, c, d)
+
+
+def _ldisc_bound_sq(n: int, R: int, monic: bool) -> int:
+    """Square of Hadamard's bound ||f||_2^(n-1) ||f'||_2^n on
+    |LDisc f| = |Res(f, f')| over the height-R box: the Sylvester matrix
+    has n-1 rows of f and n rows of f'."""
+    lead_sq = 1 if monic else R * R
+    f_sq = lead_sq + n * R * R
+    df_sq = n * n * lead_sq + R * R * sum(i * i for i in range(1, n))
+    return f_sq ** (n - 1) * df_sq ** n
+
+
+def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
+    """Yield (coeffs, discs) int64 blocks over the height-R box: coeffs
+    holds the free coordinates low to high (a_0..a_{n-1} monic, a_0..a_n
+    general) in `enumerate_box` order, discs the exact discriminants.
+
+    Two checks run before any work.  Domain: a box whose Hadamard bound on
+    |LDisc| reaches 2^63 is refused (|Disc| <= |LDisc|, and every term of
+    the cubic closed form is smaller still).  Cost: 1 per point on the
+    vectorized cubic route, (2n-1)^3 per point elsewhere, the cost of a
+    Bareiss determinant on the Sylvester matrix."""
+    bound_sq = _ldisc_bound_sq(n, R, monic)
+    if bound_sq >= 2 ** 126:
+        raise BudgetExceededError(
+            f"degree-{n} box of height {R}: |LDisc| may reach "
+            f"{math.isqrt(bound_sq)}, beyond the int64 range")
+    points = (2 * R + 1) ** n * (1 if monic else 2 * R)
+    cost = points if n == 3 else points * (2 * n - 1) ** 3
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"box of {points} lattice points costs {cost}, over budget {budget}")
+    if n != 3:
+        dim = n if monic else n + 1
+        # flat lists of ints: no per-polynomial object outlives its step, so
+        # a block adds nothing for the cyclic garbage collector to scan
+        coeffs, discs = [], []
+        for i, f in enumerate(enumerate_box(n, R, monic, budget=None), 1):
+            coeffs.extend(f.coeffs[:dim])
+            discs.append(discriminant(f))
+            if i % _BLOCK == 0 or i == points:
+                yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),
+                       np.array(discs, dtype=np.int64))
+                coeffs, discs = [], []
+        return
+    # slab over (a_3, a_2); vectorize over (a_1, a_0)
+    span = np.arange(-R, R + 1, dtype=np.int64)
+    c_grid, d_grid = (g.ravel() for g in np.meshgrid(span, span, indexing="ij"))
+    for a in [1] if monic else [a for a in range(-R, R + 1) if a]:
+        for b in range(-R, R + 1):
+            if monic:
+                disc = disc_values_monic3(np.int64(b), c_grid, d_grid)
+            else:
+                disc = _disc3(np.int64(a), np.int64(b), c_grid, d_grid)
+            cols = [d_grid, c_grid, np.full(disc.size, b, dtype=np.int64)]
+            if not monic:
+                cols.append(np.full(disc.size, a, dtype=np.int64))
+            yield np.stack(cols, axis=1), disc
 
 
 def square_disc_scan(n: int, R: int, monic: bool,
@@ -229,49 +287,15 @@ def square_disc_scan(n: int, R: int, monic: bool,
     """Scan the height-R box for polynomials with square nonzero discriminant.
 
     Returns (survivors, zero_disc_count) where survivors is a list of
-    (coeffs, disc) pairs in enumeration order.  Cubic boxes go through the
-    vectorized closed form; other degrees fall back to the exact
-    per-polynomial route.
+    (coeffs, disc) pairs in enumeration order, coeffs a_0..a_n including
+    the leading coefficient.
     """
-    if n == 3 and _cubic_fastpath_safe(R, monic):
-        return _square_disc_scan_cubic(R, monic, budget)
     survivors = []
     zero_count = 0
-    for f in enumerate_box(n, R, monic, budget=budget):
-        d = discriminant(f)
-        if d == 0:
-            zero_count += 1
-        elif _ints.is_perfect_square(d):
-            survivors.append((f.coeffs, d))
+    lead = (1,) if monic else ()
+    for coeffs, discs in _disc_blocks(n, R, monic, budget):
+        zero_count += int(np.count_nonzero(discs == 0))
+        hit = _ints.square_mask(discs)
+        for row, d in zip(coeffs[hit].tolist(), discs[hit].tolist()):
+            survivors.append((tuple(row) + lead, d))
     return survivors, zero_count
-
-
-def _square_disc_scan_cubic(R: int, monic: bool, budget: int | None):
-    width = 2 * R + 1
-    count = width ** 3 if monic else width ** 3 * 2 * R
-    if budget is not None and count > budget:
-        raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
-    span = np.arange(-R, R + 1, dtype=np.int64)
-    survivors = []
-    zero_count = 0
-    leads = [None] if monic else [a for a in span.tolist() if a != 0]
-    # slab over (leading coefficient, a_2); vectorize over (a_1, a_0)
-    c_grid, d_grid = np.meshgrid(span, span, indexing="ij")
-    for lead in leads:
-        for b in span.tolist():
-            if monic:
-                disc = _disc3_monic(np.int64(b), c_grid, d_grid)
-            else:
-                disc = _disc3_general(np.int64(lead), np.int64(b), c_grid, d_grid)
-            zero_count += int(np.count_nonzero(disc == 0))
-            sq = _ints.square_mask(disc)
-            for ci, di in zip(*np.nonzero(sq)):
-                coeffs = (int(d_grid[ci, di]), int(c_grid[ci, di]), b,
-                          1 if monic else lead)
-                survivors.append((coeffs, int(disc[ci, di])))
-    return survivors, zero_count
-
-
-def disc_values_monic3(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Vectorized monic-cubic discriminants (int64 inputs)."""
-    return _disc3_monic(b, c, d)

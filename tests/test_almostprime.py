@@ -26,7 +26,7 @@ from polysieve.almostprime import (
     min_admissible_r,
     multiplicity_bound,
 )
-from polysieve.zpoly import discriminant, enumerate_box
+from polysieve.zpoly import discriminant, enumerate_box, square_disc_scan
 
 
 class TestDiscSequence:
@@ -85,9 +85,21 @@ class TestDiscSequence:
             build_disc_sequence(4, 1, radius=1, budget=81 * 343 - 1)
         with pytest.raises(BudgetExceededError):
             count_almost_prime(4, 1, 3, budget=81 * 343 - 1)
+        # the square-discriminant scan shares the cost model; a general box
+        # has 2R leading coefficients
+        square_disc_scan(3, 1, True, budget=27)
+        square_disc_scan(4, 1, True, budget=81 * 343)
+        square_disc_scan(3, 1, False, budget=54)
+        with pytest.raises(BudgetExceededError):
+            square_disc_scan(3, 1, True, budget=26)
+        with pytest.raises(BudgetExceededError):
+            square_disc_scan(4, 1, True, budget=81 * 343 - 1)
+        with pytest.raises(BudgetExceededError):
+            square_disc_scan(3, 1, False, budget=53)
 
     def test_int64_domain_refused(self):
-        # Mahler's bound 10^10 * 91^9 exceeds 2^63: refused before enumeration
+        # Hadamard's bound sqrt(91^9 * 2665^10) on |LDisc| exceeds 2^63: refused
+        # before enumeration
         with pytest.raises(BudgetExceededError, match="int64"):
             build_disc_sequence(10, 3, radius=3, budget=None)
         with pytest.raises(BudgetExceededError, match="int64"):

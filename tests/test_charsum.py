@@ -101,6 +101,11 @@ class TestWeightTables:
             mobius_half_weight(3, 2, MONIC)
         weight_table.cache_clear()
 
+    def test_table_size_cap(self):
+        # 61^5 = 8.4e8 entries: refused before the monic table is built
+        with pytest.raises(BudgetExceededError):
+            weight_table(61, 4, GENERAL, "mobius-half")
+
     def test_product_rule_reproduces_pointwise(self):
         vals = product_weight_values(6, 3, MONIC, "mobius-half")
         t2 = weight_table(2, 3, MONIC, "mobius-half").values

@@ -57,6 +57,23 @@ class TestFourierScan:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
 
+    def test_budget_charges_transform_cost(self, tmp_path):
+        # 343 entries cost 343 * ceil(log2 343) = 3087, as in dft_full
+        argv = ["fourier-scan", "--p", "7", "--n", "3", "--out", str(tmp_path / "x.csv")]
+        assert main(argv + ["--budget", "3087"]) == 0
+        assert main(argv + ["--budget", "3086"]) == 3
+
+    def test_oversized_table_refused(self, tmp_path, capsys):
+        # 61^5 = 8.4e8 entries cost 2.5e10 to transform, over the 2e9 default
+        started = time.perf_counter()
+        rc = main(["fourier-scan", "--p", "61", "--n", "4", "--mode", "general",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["fourier-scan", "--p", "3,5", "--n", "3", "--seed", "9"]

@@ -193,6 +193,22 @@ class TestVerify:
                 rhs += float(l1 * l2) * inner
         assert abs(rhs - rep.rhs) < 1e-6 * abs(rep.rhs)
 
+    @pytest.mark.parametrize("mode", [MONIC, GENERAL])
+    def test_lhs_matches_direct_sum(self, mode):
+        # left side against phi(f/H) / 2^omega(LDisc f) summed pointwise
+        n, H = 3, 1
+        phi = SmoothWeight.box_calibrated(4 if mode == GENERAL else 3)
+        rep = verify_modified_selberg(n, H, 1, mode, phi=phi)
+        from polysieve.zpoly import enumerate_box
+
+        direct = 0.0
+        for f in enumerate_box(n, rep.radius, monic=mode == MONIC):
+            d = discriminant(f)
+            if d > 0 and math.isqrt(d) ** 2 == d:
+                free = f.coeffs if mode == GENERAL else f.coeffs[:n]
+                direct += phi.value([c / H for c in free]) / 2 ** omega(abs(ldisc(f)))
+        assert abs(rep.lhs - direct) <= 1e-12 * direct
+
     def test_strict_mode_raises_on_fabricated_violation(self):
         # a weight vector that breaks lambda_1 = 1 cannot be built at all
         with pytest.raises(ValueError):
@@ -242,6 +258,16 @@ class TestCountAnBox:
     def test_weighted_below_count(self):
         res = count_an_box(3, 6, monic=True)
         assert 0 < float(res.weighted) <= res.count
+
+    @pytest.mark.parametrize("n,H,monic", [(3, 2, False), (4, 1, False), (3, 3, True)])
+    def test_weighted_matches_ldisc_oracle(self, n, H, monic):
+        from polysieve.zpoly import enumerate_box
+
+        want = Fraction(0)
+        for f in enumerate_box(n, H, monic):
+            if gal_in_an(f):
+                want += Fraction(1, 2 ** omega(abs(ldisc(f))))
+        assert count_an_box(n, H, monic).weighted == want
 
     def test_matches_direct_scan(self):
         from polysieve.zpoly import enumerate_box

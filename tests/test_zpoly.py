@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysieve import zpoly
 from polysieve._ints import mobius, omega, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import is_squarefree_fp, mobius_pn
@@ -234,6 +235,53 @@ class TestSquareDiscScan:
         slow_survivors = [(c, d) for c, d in slow if d > 0 and math.isqrt(d) ** 2 == d]
         assert fast == slow_survivors
         assert zeros_fast == sum(1 for _, d in slow if d == 0)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n,R,monic", [(2, 2, True), (4, 2, True),
+                                           (2, 1, False), (4, 1, False)])
+    def test_bareiss_blocks_match_enumeration(self, monkeypatch, n, R, monic, block):
+        if block:  # many small blocks: order must survive the block seams
+            monkeypatch.setattr(zpoly, "_BLOCK", block)
+        got, zeros = square_disc_scan(n, R, monic)
+        want = []
+        want_zeros = 0
+        for f in enumerate_box(n, R, monic):
+            d = discriminant(f)
+            if d == 0:
+                want_zeros += 1
+            elif d > 0 and math.isqrt(d) ** 2 == d:
+                want.append((f.coeffs, d))
+        assert got == want
+        assert zeros == want_zeros
+
+
+class TestDiscDomain:
+    def test_degree_ten_height_one_admitted(self, monkeypatch):
+        # ||f||^2 = 11 and ||f'||^2 = 385 in both modes: |LDisc| <= 4.1e17
+        for monic in (True, False):
+            assert zpoly._ldisc_bound_sq(10, 1, monic) == 11 ** 9 * 385 ** 10
+            assert zpoly._ldisc_bound_sq(10, 1, monic) < 2 ** 126
+        monkeypatch.setattr(zpoly, "_BLOCK", 16)
+        for monic in (True, False):
+            coeffs, discs = next(zpoly._disc_blocks(10, 1, monic, None))
+            first = [f for f, _ in zip(enumerate_box(10, 1, monic), range(16))]
+            dim = 10 if monic else 11  # a_10 is free only in the general box
+            assert coeffs.tolist() == [list(f.coeffs[:dim]) for f in first]
+            assert discs.tolist() == [discriminant(f) for f in first]
+
+    def test_degree_eleven_refused_before_work(self, monkeypatch):
+        def no_work(*_a, **_k):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(zpoly, "enumerate_box", no_work)
+        monkeypatch.setattr(zpoly, "discriminant", no_work)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            square_disc_scan(11, 1, True, budget=None)
+
+    @pytest.mark.parametrize("n,R,monic", [(4, 2, True), (3, 2, False)])
+    def test_bound_dominates_box_maximum(self, n, R, monic):
+        top = max(abs(ldisc(f)) for f in enumerate_box(n, R, monic))
+        assert 0 < top ** 2 <= zpoly._ldisc_bound_sq(n, R, monic)
 
 
 class TestMultiplicative:
