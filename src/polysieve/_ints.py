@@ -16,6 +16,7 @@ residues always fits in an int64.  Larger cofactors go through the scalar
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -74,38 +75,36 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(int(p) for p in np.nonzero(flags)[0])
 
 
-def prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime divisors of |m|, ascending.  Wheel trial division."""
+def _factor(m: int) -> list[tuple[int, int]]:
+    """Ascending (p, e) pairs of |m| by 2/3/5-wheel trial division."""
     m = abs(m)
     if m == 0:
-        raise ValueError("prime_factors: zero has no factorization")
+        raise ValueError("zero has no factorization")
     out = []
-    for p in (2, 3, 5):
+    # 2, 3, 5, 7, then the wheel gaps
+    p, gaps = 2, itertools.chain((1, 2, 2), itertools.cycle(_WHEEL))
+    while p * p <= m:
         if m % p == 0:
-            out.append(p)
+            e = 0
             while m % p == 0:
                 m //= p
-    q = 7
-    i = 0
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += _WHEEL[i]
-        i = (i + 1) % len(_WHEEL)
+                e += 1
+            out.append((p, e))
+        p += next(gaps)
     if m > 1:
-        out.append(m)
-    return tuple(out)
+        out.append((m, 1))
+    return out
+
+
+def prime_factors(m: int) -> tuple[int, ...]:
+    """Distinct prime divisors of |m|, ascending."""
+    return tuple(p for p, _ in _factor(m))
 
 
 def omega(m: int) -> int:
     """Number of distinct prime divisors of |m|; rejects m = 0."""
     if m == 0:
         raise ValueError("omega(0) is undefined")
-    m = abs(m)
-    if m == 1:
-        return 0
     return len(prime_factors(m))
 
 
@@ -113,28 +112,8 @@ def mobius(m: int) -> int:
     """Mobius function of a positive integer."""
     if m <= 0:
         raise ValueError("mobius: argument must be positive")
-    if m == 1:
-        return 1
-    mu = 1
-    for p in (2, 3, 5):
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-    q = 7
-    i = 0
-    while q * q <= m:
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                return 0
-            mu = -mu
-        q += _WHEEL[i]
-        i = (i + 1) % len(_WHEEL)
-    if m > 1:
-        mu = -mu
-    return mu
+    pairs = _factor(m)
+    return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
 
 
 def is_squarefree(m: int) -> bool:
@@ -145,17 +124,7 @@ def is_squarefree(m: int) -> bool:
 
 def tau(m: int) -> int:
     """Number of divisors of |m| >= 1."""
-    m = abs(m)
-    if m == 0:
-        raise ValueError("tau(0) is undefined")
-    count = 1
-    for p in prime_factors(m):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        count *= e + 1
-    return count
+    return math.prod(e + 1 for _, e in _factor(m))
 
 
 @lru_cache(maxsize=None)

@@ -74,41 +74,31 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
-    vals_acc: list[np.ndarray] = []
-    mass_acc: list[np.ndarray] = []
-    acc_len = 0
-    merge_at = 8_000_000  # doubled after each merge to keep the cost amortized
+    val_blocks: list[np.ndarray] = []
+    mass_blocks: list[np.ndarray] = []
     zero_mass = 0.0
-
-    def consolidate():
-        nonlocal vals_acc, mass_acc, acc_len, merge_at
-        allv = np.concatenate(vals_acc)
-        allm = np.concatenate(mass_acc)
-        uniq, inv = np.unique(allv, return_inverse=True)
-        vals_acc = [uniq]
-        mass_acc = [np.bincount(inv, weights=allm, minlength=uniq.size)]
-        acc_len = uniq.size
-        merge_at = max(merge_at, 2 * acc_len)
-
     for coeffs, discs in _disc_blocks(n, R, True, budget):
         w = phi.amplitude * phi.coord_profile(coeffs / H).prod(axis=1)
-        zmask = discs == 0
-        if zmask.any():
-            zero_mass += float(w[zmask].sum())
-        live = ~zmask
-        if not live.any():
-            continue
-        uniq, inv = np.unique(np.abs(discs[live]), return_inverse=True)
-        vals_acc.append(uniq)
-        mass_acc.append(np.bincount(inv, weights=w[live], minlength=uniq.size))
-        acc_len += uniq.size
-        if acc_len > merge_at:
-            consolidate()
-    if not vals_acc:
-        return DiscSequence(n, H, phi, R, np.zeros(0, dtype=np.int64),
-                            np.zeros(0), zero_mass)
-    consolidate()
-    return DiscSequence(n, H, phi, R, vals_acc[0], mass_acc[0], zero_mass)
+        live = discs != 0
+        zero_mass += float(w[~live].sum())
+        val_blocks.append(np.abs(discs[live]))
+        mass_blocks.append(w[live])
+    # one stable sort keeps equal |Disc| in enumeration order; the block
+    # lists and each unsorted array are released as soon as their
+    # concatenated or permuted copy exists, which bounds peak memory
+    vals = np.concatenate(val_blocks)
+    del val_blocks
+    masses = np.concatenate(mass_blocks)
+    del mass_blocks
+    if not vals.size:
+        return DiscSequence(n, H, phi, R, vals, masses, zero_mass)
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    masses = masses[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return DiscSequence(n, H, phi, R, vals[starts],
+                        np.add.reduceat(masses, starts), zero_mass)
 
 
 @dataclass(frozen=True)

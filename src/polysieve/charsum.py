@@ -364,14 +364,8 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
     profile = phi.coord_profile(span / H)
     theta = np.zeros(d)
     np.add.at(theta, span % d, profile)
-    if d == 1:
-        return phi.amplitude * float(theta[0]) ** dim
+    # d = 1 has no tables, and dim = 1 makes each slab a 0-d array
     tables = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
-    if dim == 1:
-        acc = np.ones(d)
-        for p, vals in tables:
-            acc = acc * vals[np.arange(d) % p]
-        return phi.amplitude * float(np.dot(acc, theta))
     total = 0.0
     k = dim - 1
     for r0 in range(d):

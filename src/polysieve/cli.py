@@ -138,11 +138,13 @@ def cmd_fourier_scan(args) -> int:
     for p, n, mode in cells:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
-        cost = charsum.fft_cost(p ** charsum.space_dim(n, mode))
+        # distinct-degree splits of the p^n monic polynomials, then the FFT
+        cost = (p ** n * n ** 3 * math.ceil(math.log2(p))
+                + charsum.fft_cost(p ** charsum.space_dim(n, mode)))
         if cost > resolved["budget"]:
             raise BudgetExceededError(
-                f"transform of the p={p}, n={n} {mode} table costs {cost}, "
-                f"over budget {resolved['budget']}")
+                f"building and transforming the p={p}, n={n} {mode} table "
+                f"costs {cost}, over budget {resolved['budget']}")
 
     def run_cell(cell):
         p, n, mode = cell
@@ -214,6 +216,13 @@ _COUNT_DEFAULTS = {
 }
 
 
+def _slopes(hs: list[int], counts: list[int]) -> list:
+    """Log-log slope of each count against the previous height; "" for the
+    first height and wherever either count is zero."""
+    return [""] + [math.log(c1 / c0) / math.log(h1 / h0) if c0 > 0 and c1 > 0 else ""
+                   for h0, h1, c0, c1 in zip(hs, hs[1:], counts, counts[1:])]
+
+
 def cmd_count(args) -> int:
     resolved = _resolve(args, _COUNT_DEFAULTS)
     kind = resolved["kind"]
@@ -227,16 +236,10 @@ def cmd_count(args) -> int:
             for mode in _modes(resolved):
                 monic = mode == charsum.MONIC
                 theory = float(sieve.hit_exponent(n, monic))
-                counts = []
-                for H in hs:
-                    res = sieve.count_an_box(n, H, monic, budget=resolved["budget"])
-                    counts.append((H, res))
-                for i, (H, res) in enumerate(counts):
-                    if i and counts[i - 1][1].count > 0 and res.count > 0:
-                        slope = (math.log(res.count / counts[i - 1][1].count)
-                                 / math.log(H / counts[i - 1][0]))
-                    else:
-                        slope = ""
+                results = [sieve.count_an_box(n, H, monic, budget=resolved["budget"])
+                           for H in hs]
+                slopes = _slopes(hs, [res.count for res in results])
+                for H, res, slope in zip(hs, results, slopes):
                     rows.append((n, H, mode, res.count, float(res.weighted),
                                  slope, theory))
         _emit_csv(resolved, ["n", "H", "mode", "count", "weighted_sum",
@@ -246,19 +249,11 @@ def cmd_count(args) -> int:
         rows = []
         for n in ns:
             for r in resolved["r"]:
-                counts = []
-                for H in hs:
-                    c = almostprime.count_almost_prime(n, H, r,
-                                                       budget=resolved["budget"])
-                    counts.append((H, c))
-                for i, (H, c) in enumerate(counts):
-                    normalized = c * math.log(H) / H ** n
-                    if i and counts[i - 1][1] > 0 and c > 0:
-                        slope = (math.log(c / counts[i - 1][1])
-                                 / math.log(H / counts[i - 1][0]))
-                    else:
-                        slope = ""
-                    rows.append((n, H, r, c, normalized, slope, n))
+                counts = [almostprime.count_almost_prime(n, H, r,
+                                                         budget=resolved["budget"])
+                          for H in hs]
+                for H, c, slope in zip(hs, counts, _slopes(hs, counts)):
+                    rows.append((n, H, r, c, c * math.log(H) / H ** n, slope, n))
         _emit_csv(resolved, ["n", "H", "r", "count", "normalized",
                              "slope", "theory_exponent"], rows)
         return 0

@@ -105,6 +105,31 @@ class TestDiscSequence:
         with pytest.raises(BudgetExceededError, match="int64"):
             count_almost_prime(10, 3, 3, budget=None)
 
+    def test_cubic_entries_match_oracle(self):
+        # every histogram entry of a cubic box against a pointwise sum over
+        # enumerate_box, with Bareiss discriminants
+        phi = SmoothWeight()
+        seq = build_disc_sequence(3, 2, phi, radius=3)
+        direct = {}
+        for f in enumerate_box(3, 3, monic=True, budget=None):
+            d = discriminant(f)
+            if d:
+                w = phi.value([c / 2 for c in f.coeffs[:3]])
+                direct[abs(d)] = direct.get(abs(d), 0.0) + w
+        assert np.all(np.diff(seq.ms) > 0)
+        assert seq.ms.tolist() == sorted(direct)
+        for m, mass in zip(seq.ms.tolist(), seq.masses.tolist()):
+            assert abs(mass - direct[m]) <= 1e-12 * direct[m], m
+
+    def test_empty_histogram(self):
+        # the radius-0 quadratic box is x^2 alone, whose discriminant is 0
+        phi = SmoothWeight()
+        seq = build_disc_sequence(2, 1, phi, radius=0)
+        assert seq.ms.size == 0 and seq.masses.size == 0
+        assert seq.total_mass == 0.0
+        assert seq.max_m == 0
+        assert seq.zero_mass == phi.amplitude
+
     def test_quartic_generic_path(self):
         seq = build_disc_sequence(4, 1, radius=1)
         direct = {}

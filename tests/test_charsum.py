@@ -5,6 +5,7 @@ CRT product formula; classical one-dimensional Poisson summation for the
 Gaussian anchors the lattice checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -280,6 +281,26 @@ class TestSmoothWeight:
         lhs = lattice_weight_sum(1, 1, MONIC, "mobius-half", phi, 1.0)
         theta = sum(math.exp(-math.pi * k * k) for k in range(-20, 21))
         assert abs(lhs - theta) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:mobius-half weight is intended")
+    @pytest.mark.parametrize("d", [1, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lattice_sum_matches_direct_box(self, d, n):
+        # sum phi(f/H) psi_d(f) over an explicit box wide enough that the
+        # Gaussian tail is below 1e-18, psi_d read from the dense product table;
+        # monic n = 1 has psi_d = 0 for d > 1 (every x + a has mu = -1)
+        phi = SmoothWeight()
+        H = 2.0
+        R = phi.lattice_radius(H, 1e-18)
+        rules = ["mobius-half"] + (["squarefree"] if n >= 2 else [])
+        for rule in rules:
+            vals = product_weight_values(d, n, MONIC, rule)
+            coords = np.array(list(itertools.product(range(-R, R + 1), repeat=n)))
+            weight = phi.amplitude * np.exp(-math.pi * ((coords / H) ** 2).sum(axis=1)
+                                            / phi.sigma ** 2)
+            direct = float((weight * vals[tuple((coords % d).T)]).sum())
+            lhs = lattice_weight_sum(d, n, MONIC, rule, phi, H)
+            assert abs(lhs - direct) <= 1e-12 * abs(direct), (rule, lhs, direct)
 
 
 class TestPoisson:

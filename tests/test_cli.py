@@ -44,10 +44,11 @@ class TestFourierScan:
         assert len(body) == 1  # header only
 
     def test_small_budget_still_exhaustive(self, tmp_path):
-        # the budget caps the table size (343 here), not a quadratic scan
+        # the budget charges the table build and its FFT (30,870 here), not a
+        # quadratic scan of 343^2 = 117,649
         out = tmp_path / "scan.csv"
         rc = main(["fourier-scan", "--p", "7", "--n", "3", "--rule", "squarefree",
-                   "--budget", "5000", "--out", str(out)])
+                   "--budget", "50000", "--out", str(out)])
         assert rc == 0
         _, body = read_csv(out)
         assert body[1].endswith(",exhaustive")
@@ -58,10 +59,24 @@ class TestFourierScan:
         assert rc == 3
 
     def test_budget_charges_transform_cost(self, tmp_path):
-        # 343 entries cost 343 * ceil(log2 343) = 3087, as in dft_full
+        # building the table splits 343 cubics at 3^3 * ceil(log2 7) each
+        # (27,783); transforming it costs 343 * ceil(log2 343) = 3087, as in
+        # dft_full
         argv = ["fourier-scan", "--p", "7", "--n", "3", "--out", str(tmp_path / "x.csv")]
-        assert main(argv + ["--budget", "3087"]) == 0
-        assert main(argv + ["--budget", "3086"]) == 3
+        assert main(argv + ["--budget", "30870"]) == 0
+        assert main(argv + ["--budget", "30869"]) == 3
+
+    def test_table_build_cost_refused(self, tmp_path, capsys):
+        # 61^4 = 1.4e7 monic quartics cost 61^4 * 4^3 * 6 = 5.3e9 to
+        # classify, over the 2e9 default, though their FFT costs only 3.3e8
+        started = time.perf_counter()
+        rc = main(["fourier-scan", "--p", "61", "--n", "4", "--mode", "monic",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_table_refused(self, tmp_path, capsys):
         # 61^5 = 8.4e8 entries cost 2.5e10 to transform, over the 2e9 default

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysieve import zpoly
-from polysieve._ints import mobius, omega, tau
+from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import is_squarefree_fp, mobius_pn
 from polysieve.zpoly import (
@@ -317,3 +317,45 @@ class TestMultiplicative:
     def test_mobius_tau_basics(self):
         assert [mobius(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
         assert [tau(k) for k in (1, 6, 12)] == [1, 4, 6]
+
+    def test_scalar_helpers_match_naive_definitions(self):
+        # oracles: trial division by every integer >= 2, divisors counted by
+        # a direct loop, and mu on the range from sum_{d | m} mu(d) = [m = 1]
+        limit = 5000
+        mu = [0, 1] + [0] * (limit - 1)
+        for d in range(1, limit + 1):
+            for k in range(2 * d, limit + 1, d):
+                mu[k] -= mu[d]
+
+        def naive_factor(m):
+            out, q = {}, 2
+            while q * q <= m:
+                while m % q == 0:
+                    out[q] = out.get(q, 0) + 1
+                    m //= q
+                q += 1
+            if m > 1:
+                out[m] = out.get(m, 0) + 1
+            return out
+
+        def naive_tau(m):
+            r = math.isqrt(m)
+            return sum(2 for i in range(1, r + 1) if m % i == 0) - (r * r == m)
+
+        large = [2 ** 31 - 1, 46327 * 46337, 7 ** 5 * 11, 121 * 13 ** 3, 10 ** 12 + 39]
+        for m in list(range(1, limit + 1)) + large:
+            fac = naive_factor(m)
+            sqfree = all(e == 1 for e in fac.values())
+            expected_mu = mu[m] if m <= limit else (
+                (-1) ** len(fac) if sqfree else 0)
+            assert prime_factors(m) == prime_factors(-m) == tuple(sorted(fac)), m
+            assert omega(m) == omega(-m) == len(fac), m
+            assert mobius(m) == expected_mu, m
+            assert tau(m) == tau(-m) == naive_tau(m), m
+            assert is_squarefree(m) == is_squarefree(-m) == sqfree, m
+        for f in (prime_factors, omega, tau, mobius):
+            with pytest.raises(ValueError):
+                f(0)
+        with pytest.raises(ValueError):
+            mobius(-6)
+        assert not is_squarefree(0)
