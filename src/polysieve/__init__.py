@@ -31,10 +31,8 @@ from .charsum import (
     dft_point,
     dft_point_direct,
     max_nonzero_phase,
-    mobius_half_weight,
     pair,
     poisson_check,
-    squarefree_complement_weight,
     weight_table,
 )
 from .errors import BudgetExceededError, SieveInequalityError

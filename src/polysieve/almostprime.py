@@ -74,22 +74,28 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
-    val_blocks: list[np.ndarray] = []
-    mass_blocks: list[np.ndarray] = []
+    blocks = _disc_blocks(n, R, True, budget)  # refuses before allocating
+    # one output slot per box point, filled block by block: two large
+    # arrays that are freed whole, where a list of per-block arrays would
+    # leave the allocator's heap fragmented and resident
+    points = (2 * R + 1) ** n
+    vals = np.empty(points, dtype=np.int64)
+    masses = np.empty(points)
+    k = 0
     zero_mass = 0.0
-    for coeffs, discs in _disc_blocks(n, R, True, budget):
-        w = phi.amplitude * phi.coord_profile(coeffs / H).prod(axis=1)
+    # every coordinate lies in [-R, R]: one profile entry per integer value
+    profile = phi.coord_profile(np.arange(-R, R + 1) / H)
+    for coeffs, discs in blocks:
+        w = phi.amplitude * profile[coeffs + R].prod(axis=1)
         live = discs != 0
         zero_mass += float(w[~live].sum())
-        val_blocks.append(np.abs(discs[live]))
-        mass_blocks.append(w[live])
-    # one stable sort keeps equal |Disc| in enumeration order; the block
-    # lists and each unsorted array are released as soon as their
-    # concatenated or permuted copy exists, which bounds peak memory
-    vals = np.concatenate(val_blocks)
-    del val_blocks
-    masses = np.concatenate(mass_blocks)
-    del mass_blocks
+        m = int(np.count_nonzero(live))
+        np.abs(discs[live], out=vals[k:k + m])
+        masses[k:k + m] = w[live]
+        k += m
+    # one stable sort keeps equal |Disc| in enumeration order; each
+    # unsorted array is released as soon as its permuted copy exists
+    vals, masses = vals[:k], masses[:k]
     if not vals.size:
         return DiscSequence(n, H, phi, R, vals, masses, zero_mass)
     order = np.argsort(vals, kind="stable")

@@ -36,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -137,18 +136,6 @@ def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
     return vals
 
 
-def mobius_half_weight(p: int, n: int, mode: str = GENERAL) -> WeightTable:
-    """The weight (1 + (-1)^(n+1) mu_{p,n}(f))/2 on V_n(F_p) or its monic
-    slice.  Takes the value 1/2 wherever the degree-gated Mobius value is 0,
-    in particular on the whole degree < n part of the general space."""
-    return weight_table(p, n, mode, RULE_MOBIUS_HALF)
-
-
-def squarefree_complement_weight(p: int, n: int) -> WeightTable:
-    """Indicator of non-squarefree monic degree-n polynomials over F_p."""
-    return weight_table(p, n, MONIC, RULE_SQUAREFREE)
-
-
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
     size = p ** space_dim(n, mode)
@@ -231,11 +218,16 @@ def dft_full(w: WeightTable, budget: int | None = DEFAULT_OPS_BUDGET) -> np.ndar
     return w.dft()
 
 
-def _crt_factors(d: int, n: int, mode: str, rule: str):
+def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.ndarray]]:
+    """[(p, T_p)] over the primes p | d, where T_p is the cached transform
+    of the p-table with every axis permuted by s -> c_p s mod p,
+    c_p = (d/p)^(-1) mod p.  The CRT twist then reads
+    psi_hat_d(u) = prod_p T_p[u mod p]."""
     out = []
     for p in prime_factors(d):
-        alpha = pow(d // p, -1, p) if d != p else 1
-        out.append((p, alpha, weight_table(p, n, mode, rule)))
+        ft = weight_table(p, n, mode, rule).dft()
+        perm = (pow(d // p, -1, p) * np.arange(p)) % p
+        out.append((p, ft[np.ix_(*([perm] * ft.ndim))]))
     return out
 
 
@@ -249,9 +241,8 @@ def dft_point(d: int, n: int, mode: str, rule: str, u: Phase | Sequence[int]) ->
     if len(comps) != dim:
         raise ValueError("phase length does not match the mode")
     val = complex(1.0)
-    for p, alpha, tbl in _crt_factors(d, n, mode, rule):
-        idx = tuple((alpha * c) % p for c in comps)
-        val *= tbl.dft()[idx]
+    for p, table in _twisted_dfts(d, n, mode, rule):
+        val *= table[tuple(c % p for c in comps)]
     return val
 
 
@@ -353,30 +344,37 @@ class SmoothWeight:
         return math.ceil(self.sigma * scale * math.sqrt(math.log(1 / rel_tol) / math.pi)) + 1
 
 
-def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
-                       phi: SmoothWeight, H: float) -> float:
-    """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
-    Gaussian folded into wrapped per-residue weights, so no truncation
-    enters beyond machine precision."""
-    dim = space_dim(n, mode)
-    R = phi.lattice_radius(H, 1e-18)
-    span = np.arange(-R - d, R + d + 1)
-    profile = phi.coord_profile(span / H)
-    theta = np.zeros(d)
-    np.add.at(theta, span % d, profile)
-    # d = 1 has no tables, and dim = 1 makes each slab a 0-d array
-    tables = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
+def _wrapped_contraction(d: int, dim: int, theta: np.ndarray,
+                         tables: list[tuple[int, np.ndarray]]):
+    """sum_{r in (Z/d)^dim} prod_i theta[r_i] * prod_p table_p[r mod p] for
+    a wrapped per-residue profile theta (length d) and one (p,)*dim table per
+    prime p | d; the result takes its dtype from the inputs."""
+    dtype = np.result_type(theta, *(vals for _, vals in tables))
     total = 0.0
     k = dim - 1
     for r0 in range(d):
-        slab = np.ones((d,) * k)
+        # dim = 1 makes each slab a 0-d array
+        slab = np.ones((d,) * k, dtype=dtype)
         for p, vals in tables:
             # index r = q p + (r mod p): broadcast the table over q, in place
             slab.reshape((d // p, p) * k)[...] *= vals[r0 % p].reshape((1, p) * k)
         for _ in range(k):
             slab = np.tensordot(slab, theta, axes=([-1], [0]))
-        total += float(theta[r0]) * float(slab)
-    return phi.amplitude * total
+        total += theta[r0] * slab[()]
+    return total
+
+
+def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
+                       phi: SmoothWeight, H: float) -> float:
+    """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
+    Gaussian folded into wrapped per-residue weights, so no truncation
+    enters beyond machine precision."""
+    R = phi.lattice_radius(H, 1e-18)
+    span = np.arange(-R - d, R + d + 1)
+    theta = np.zeros(d)
+    np.add.at(theta, span % d, phi.coord_profile(span / H))
+    tables = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
+    return phi.amplitude * float(_wrapped_contraction(d, space_dim(n, mode), theta, tables))
 
 
 @dataclass(frozen=True)
@@ -396,29 +394,26 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
                   budget: int | None = DEFAULT_OPS_BUDGET) -> PoissonReport:
     """Compare the lattice sum sum_f phi(f/H) psi_d(f) against its dual form
     H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), both truncated only where
-    Gaussian tails fall below machine precision."""
+    Gaussian tails fall below machine precision.  The two sides are the
+    same (Z/d)^dim contraction: phi wrapped against the psi_p tables, and
+    phi_hat wrapped against the twisted psi_hat_p tables.  Each is charged
+    d^dim, and the check refuses before any table is built."""
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
     dim = space_dim(n, mode)
+    cost = 2 * d ** dim
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"poisson check of two {d}^{dim} contractions costs {cost}, over budget {budget}")
     phi = phi if phi is not None else SmoothWeight()
     lhs = lattice_weight_sum(d, n, mode, rule, phi, H)
 
     U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)
-    terms = (2 * U + 1) ** dim
-    if budget is not None and terms > budget:
-        raise BudgetExceededError(
-            f"poisson dual sum needs {terms} terms, over budget {budget}")
-    factors = _crt_factors(d, n, mode, rule) if d > 1 else []
-    total = 0j
-    for u in product(range(-U, U + 1), repeat=dim):
-        fh = phi.fourier(tuple(c * H / d for c in u))
-        if d == 1:
-            total += fh
-            continue
-        val = complex(1.0)
-        for p, alpha_p, tbl in factors:
-            idx = tuple((alpha_p * c) % p for c in u)
-            val *= tbl.dft()[idx]
-        total += fh * val
-    rhs = (H ** dim) * total
-    return PoissonReport(float(lhs), float(rhs.real), float(abs(lhs - rhs.real)))
+    # phi_hat(xi) = phi_hat(0) * prod_i exp(-pi sigma^2 xi_i^2): wrap each
+    # coordinate's factor at xi = u H / d onto u mod d
+    us = np.arange(-U, U + 1)
+    theta_hat = np.zeros(d)
+    np.add.at(theta_hat, us % d, np.exp(-math.pi * phi.sigma ** 2 * (us * H / d) ** 2))
+    dual = _wrapped_contraction(d, dim, theta_hat, _twisted_dfts(d, n, mode, rule))
+    rhs = H ** dim * phi.fourier_zero(dim) * float(dual.real)
+    return PoissonReport(float(lhs), float(rhs), float(abs(lhs - rhs)))

@@ -146,28 +146,24 @@ def cmd_fourier_scan(args) -> int:
                 f"building and transforming the p={p}, n={n} {mode} table "
                 f"costs {cost}, over budget {resolved['budget']}")
 
-    def run_cell(cell):
-        p, n, mode = cell
+    rows = []
+    all_ok = True
+    for p, n, mode in cells:
         w = charsum.weight_table(p, n, mode, rule)
         zero = w.zero_phase().real
         scan = charsum.max_nonzero_phase(w)
         alpha = charsum.decay_alpha(rule, n)
-        ok = True
         if rule == charsum.RULE_MOBIUS_HALF:
-            ok &= abs(zero - 0.5) <= 1e-10
+            all_ok &= abs(zero - 0.5) <= 1e-10
         else:
-            ok &= abs(zero - 1 / p) <= 1e-10
-            ok &= scan.max_abs <= 3.5 / p ** 2
-        row = (p, n, mode, rule, zero, scan.max_abs,
-               ":".join(str(c) for c in scan.argmax),
-               scan.max_abs * p ** alpha, "exhaustive")
-        return row, ok
-
-    results = [run_cell(cell) for cell in cells]
-    rows = [row for row, _ in results]
+            all_ok &= abs(zero - 1 / p) <= 1e-10
+            all_ok &= scan.max_abs <= 3.5 / p ** 2
+        rows.append((p, n, mode, rule, zero, scan.max_abs,
+                     ":".join(str(c) for c in scan.argmax),
+                     scan.max_abs * p ** alpha, "exhaustive"))
     _emit_csv(resolved, ["p", "n", "mode", "rule", "zero_phase", "max_abs",
                          "argmax_phase", "normalized_ratio", "scan_kind"], rows)
-    return 0 if all(ok for _, ok in results) else 1
+    return 0 if all_ok else 1
 
 
 _VERIFY_DEFAULTS = {
@@ -184,20 +180,17 @@ def cmd_sieve_verify(args) -> int:
         raise _Usage("height H must be >= 1")
     cells = [(n, H, D, mode) for n in resolved["n"] for H in resolved["H"]
              for D in resolved["D"] for mode in _modes(resolved)]
-
-    def run_cell(cell):
-        n, H, D, mode = cell
+    results = []
+    for n, H, D, mode in cells:
         dim = charsum.space_dim(n, mode)
         sigma = resolved["sigma"]
         phi = (charsum.SmoothWeight.box_calibrated(dim, sigma) if sigma
                else charsum.SmoothWeight.box_calibrated(dim))
         rep = sieve.verify_modified_selberg(n, H, D, mode, phi=phi,
                                             budget=resolved["budget"], strict=False)
-        return {"n": n, "H": H, "D": D, "mode": mode, "lhs": rep.lhs,
-                "rhs": rep.rhs, "margin": rep.margin, "radius": rep.radius,
-                "wall_time": rep.wall_time}
-
-    results = [run_cell(cell) for cell in cells]
+        results.append({"n": n, "H": H, "D": D, "mode": mode, "lhs": rep.lhs,
+                        "rhs": rep.rhs, "margin": rep.margin, "radius": rep.radius,
+                        "wall_time": rep.wall_time})
     all_pass = all(r["margin"] >= -sieve.MARGIN_TOLERANCE for r in results)
     doc = {
         "version": f"polysieve {__version__}",
@@ -322,15 +315,12 @@ def cmd_poisson_check(args) -> int:
     cells = [(n, mode, rule, d, H)
              for n in resolved["n"] for mode in _modes(resolved) for rule in rules
              for d in resolved["d"] for H in resolved["H"]]
-
-    def run_cell(cell):
-        n, mode, rule, d, H = cell
+    rows = []
+    for n, mode, rule, d, H in cells:
         phi = charsum.SmoothWeight(sigma=resolved["sigma"])
         rep = charsum.poisson_check(n, mode, d, H, rule, phi,
                                     budget=resolved["budget"])
-        return (n, mode, rule, d, H, rep.lhs, rep.rhs, rep.abs_diff, rep.rel_diff)
-
-    rows = [run_cell(cell) for cell in cells]
+        rows.append((n, mode, rule, d, H, rep.lhs, rep.rhs, rep.abs_diff, rep.rel_diff))
     _emit_csv(resolved, ["n", "mode", "rule", "d", "H", "lhs", "rhs",
                          "abs_diff", "rel_diff"], rows)
     return 0 if all(row[-1] <= POISSON_REL_TOL for row in rows) else 1

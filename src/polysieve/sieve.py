@@ -114,19 +114,25 @@ class LocalMatrix:
         return a >= 0 and c >= 0 and a * c - b * b >= 0
 
 
-def qf_value(f: ZPoly, weights: SieveWeights, n: int) -> Fraction:
-    """Q_f = sum_{d1,d2} lambda_{d1} lambda_{d2} prod_{p | [d1,d2]} nu_p(f)."""
-    primes = [p for p in _ints.primes_up_to(weights.D)]
-    nu = {p: nu_weight(f, p, n) for p in primes}
-    factor_sets = {d: frozenset(_ints.prime_factors(d)) if d > 1 else frozenset()
-                   for d in weights.lam}
-    total = Fraction(0)
+def pair_weights(weights: SieveWeights) -> dict[int, Fraction]:
+    """w_m = sum_{[d1,d2] = m} lambda_{d1} lambda_{d2}, keyed by m ascending:
+    every sum of lambda_{d1} lambda_{d2} g([d1,d2]) is sum_m w_m g(m)."""
+    out: dict[int, Fraction] = defaultdict(Fraction)
     for d1, l1 in weights.lam.items():
         for d2, l2 in weights.lam.items():
-            prod_nu = Fraction(1)
-            for p in factor_sets[d1] | factor_sets[d2]:
-                prod_nu *= nu[p]
-            total += l1 * l2 * prod_nu
+            out[lcm(d1, d2)] += l1 * l2
+    return dict(sorted(out.items()))
+
+
+def qf_value(f: ZPoly, weights: SieveWeights, n: int) -> Fraction:
+    """Q_f = sum_{d1,d2} lambda_{d1} lambda_{d2} prod_{p | [d1,d2]} nu_p(f)
+    = sum_m w_m prod_{p | m} nu_p(f)."""
+    nu = {p: nu_weight(f, p, n) for p in _ints.primes_up_to(weights.D)}
+    total = Fraction(0)
+    for m, w in pair_weights(weights).items():
+        for p in _ints.prime_factors(m):
+            w *= nu[p]
+        total += w
     return total
 
 
@@ -178,8 +184,7 @@ def _an_weighted_lattice_sum(n: int, mode: str, phi: SmoothWeight, H: int,
     # survivors end with a_n (1 when monic), so this is |LDisc| in both modes
     ldiscs = np.array([abs(c[-1] * d) for c, d in survivors], dtype=np.int64)
     om = _ints.omega_batch(ldiscs)
-    gauss = phi.amplitude * np.exp(
-        -math.pi * (free.astype(np.float64) / H) ** 2 / phi.sigma ** 2).prod(axis=1)
+    gauss = phi.amplitude * phi.coord_profile(free / H).prod(axis=1)
     return float((gauss * 0.5 ** om).sum()), R
 
 
@@ -203,17 +208,13 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
         raise ValueError("need n >= 1, H >= 1, D >= 1")
     phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
     start = time.perf_counter()
-    weights = selberg_weights(D)
-    pair_weight: dict[int, Fraction] = defaultdict(Fraction)
-    for d1, l1 in weights.lam.items():
-        for d2, l2 in weights.lam.items():
-            pair_weight[lcm(d1, d2)] += l1 * l2
+    pair_weight = pair_weights(selberg_weights(D))
     if budget is not None:
         est = sum(m ** dim for m in pair_weight) + (2 * phi.lattice_radius(H, 1e-16) + 1) ** dim
         if est > budget:
             raise BudgetExceededError(f"verification cost estimate {est} exceeds budget {budget}")
     rhs = 0.0
-    for m, w in sorted(pair_weight.items()):
+    for m, w in pair_weight.items():
         rhs += float(w) * lattice_weight_sum(m, n, mode, "mobius-half", phi, H)
     lhs, radius = _an_weighted_lattice_sum(n, mode, phi, H, budget)
     margin = rhs - lhs

@@ -239,11 +239,12 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
     holds the free coordinates low to high (a_0..a_{n-1} monic, a_0..a_n
     general) in `enumerate_box` order, discs the exact discriminants.
 
-    Two checks run before any work.  Domain: a box whose Hadamard bound on
-    |LDisc| reaches 2^63 is refused (|Disc| <= |LDisc|, and every term of
-    the cubic closed form is smaller still).  Cost: 1 per point on the
-    vectorized cubic route, (2n-1)^3 per point elsewhere, the cost of a
-    Bareiss determinant on the Sylvester matrix."""
+    Two checks run when it is called, before any work or allocation.
+    Domain: a box whose Hadamard bound on |LDisc| reaches 2^63 is refused
+    (|Disc| <= |LDisc|, and every term of the cubic closed form is smaller
+    still).  Cost: 1 per point on the vectorized cubic route, (2n-1)^3 per
+    point elsewhere, the cost of a Bareiss determinant on the Sylvester
+    matrix."""
     bound_sq = _ldisc_bound_sq(n, R, monic)
     if bound_sq >= 2 ** 126:
         raise BudgetExceededError(
@@ -254,19 +255,24 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"box of {points} lattice points costs {cost}, over budget {budget}")
-    if n != 3:
-        dim = n if monic else n + 1
-        # flat lists of ints: no per-polynomial object outlives its step, so
-        # a block adds nothing for the cyclic garbage collector to scan
-        coeffs, discs = [], []
-        for i, f in enumerate(enumerate_box(n, R, monic, budget=None), 1):
-            coeffs.extend(f.coeffs[:dim])
-            discs.append(discriminant(f))
-            if i % _BLOCK == 0 or i == points:
-                yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),
-                       np.array(discs, dtype=np.int64))
-                coeffs, discs = [], []
-        return
+    return _cubic_blocks(R, monic) if n == 3 else _bareiss_blocks(n, R, monic, points)
+
+
+def _bareiss_blocks(n: int, R: int, monic: bool, points: int):
+    dim = n if monic else n + 1
+    # flat lists of ints: no per-polynomial object outlives its step, so
+    # a block adds nothing for the cyclic garbage collector to scan
+    coeffs, discs = [], []
+    for i, f in enumerate(enumerate_box(n, R, monic, budget=None), 1):
+        coeffs.extend(f.coeffs[:dim])
+        discs.append(discriminant(f))
+        if i % _BLOCK == 0 or i == points:
+            yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),
+                   np.array(discs, dtype=np.int64))
+            coeffs, discs = [], []
+
+
+def _cubic_blocks(R: int, monic: bool):
     # slab over (a_3, a_2); vectorize over (a_1, a_0)
     span = np.arange(-R, R + 1, dtype=np.int64)
     c_grid, d_grid = (g.ravel() for g in np.meshgrid(span, span, indexing="ij"))

@@ -74,6 +74,12 @@ class TestDiscSequence:
         with pytest.raises(BudgetExceededError):
             build_disc_sequence(3, 100, budget=1000)
 
+    def test_budget_refused_before_allocation(self):
+        # 68,493^3 = 3.2e14 box points: the refusal comes before the
+        # histogram's per-point arrays are allocated
+        with pytest.raises(BudgetExceededError):
+            build_disc_sequence(3, 10 ** 4, budget=10 ** 6)
+
     def test_budget_charges_per_point_cost(self):
         # cubic closed form: 1 per point; other degrees: 7^3 per quartic,
         # the Bareiss cost on the 7x7 Sylvester matrix

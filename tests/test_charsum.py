@@ -2,11 +2,13 @@
 
 The direct-summation evaluator `dft_point_direct` is the oracle for the
 CRT product formula; classical one-dimensional Poisson summation for the
-Gaussian anchors the lattice checks.
+Gaussian anchors the lattice checks, a sum over an explicit box checks the
+lattice side, and a per-phase loop over `dft_point` checks the dual side.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,11 +24,10 @@ from polysieve.charsum import (
     dft_point_direct,
     lattice_weight_sum,
     max_nonzero_phase,
-    mobius_half_weight,
     pair,
     poisson_check,
     product_weight_values,
-    squarefree_complement_weight,
+    space_dim,
     weight_table,
 )
 from polysieve.errors import BudgetExceededError
@@ -60,16 +61,16 @@ class TestPair:
 
 class TestWeightTables:
     def test_mobius_half_value_set(self):
-        w = mobius_half_weight(3, 3, GENERAL)
+        w = weight_table(3, 3, GENERAL, "mobius-half")
         assert set(np.unique(w.values)) <= {0.0, 0.5, 1.0}
 
     def test_degree_drop_gives_half(self):
-        w = mobius_half_weight(5, 3, GENERAL)
+        w = weight_table(5, 3, GENERAL, "mobius-half")
         assert np.all(w.values[..., 0] == 0.5)
 
     def test_general_matches_pointwise_definition(self):
         p, n = 3, 3
-        w = mobius_half_weight(p, n, GENERAL)
+        w = weight_table(p, n, GENERAL, "mobius-half")
         for f in enumerate_fp(p, n):
             vec = f.coeffs + (0,) * (n + 1 - len(f.coeffs))
             expected = (1 + (-1) ** (n + 1) * mobius_pn(f, n)) / 2
@@ -78,17 +79,17 @@ class TestWeightTables:
     def test_value_one_iff_odd(self):
         # at odd n the weight is 1 exactly on odd degree-n polynomials
         p, n = 3, 3
-        w = mobius_half_weight(p, n, MONIC)
+        w = weight_table(p, n, MONIC, "mobius-half")
         for f in enumerate_fp(p, n, monic=True):
             vec = f.coeffs[:n]
             assert (w.values[vec] == 1.0) == is_odd_poly(f)
 
     def test_squarefree_complement_ones_count(self):
-        w = squarefree_complement_weight(3, 3)
+        w = weight_table(3, 3, MONIC, "squarefree-complement")
         assert int(w.values.sum()) == 9  # p^(n-1)
 
     def test_squarefree_complement_pointwise(self):
-        w = squarefree_complement_weight(3, 3)
+        w = weight_table(3, 3, MONIC, "squarefree-complement")
         for f in enumerate_fp(3, 3, monic=True):
             assert w.values[f.coeffs[:3]] == (0.0 if is_squarefree_fp(f) else 1.0)
 
@@ -99,7 +100,7 @@ class TestWeightTables:
     def test_small_n_warns(self):
         weight_table.cache_clear()
         with pytest.warns(UserWarning):
-            mobius_half_weight(3, 2, MONIC)
+            weight_table(3, 2, MONIC, "mobius-half")
         weight_table.cache_clear()
 
     def test_table_size_cap(self):
@@ -129,28 +130,28 @@ class TestDft:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (3, 4)])
     def test_mobius_half_zero_phase(self, p, n):
         for mode in (GENERAL, MONIC):
-            w = mobius_half_weight(p, n, mode)
+            w = weight_table(p, n, mode, "mobius-half")
             assert abs(w.dft()[(0,) * w.dim] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_squarefree_zero_phase(self, p):
-        w = squarefree_complement_weight(p, 3)
+        w = weight_table(p, 3, MONIC, "squarefree-complement")
         assert abs(w.dft()[(0,) * 3] - 1 / p) < 1e-12
 
     def test_budget(self):
-        w = mobius_half_weight(5, 3, MONIC)
+        w = weight_table(5, 3, MONIC, "mobius-half")
         with pytest.raises(BudgetExceededError):
             dft_full(w, budget=100)
 
     def test_parseval(self):
-        for w in (mobius_half_weight(5, 3, GENERAL),
-                  mobius_half_weight(3, 4, MONIC),
-                  squarefree_complement_weight(7, 3)):
+        for w in (weight_table(5, 3, GENERAL, "mobius-half"),
+                  weight_table(3, 4, MONIC, "mobius-half"),
+                  weight_table(7, 3, MONIC, "squarefree-complement")):
             assert parseval_gap(w) < 1e-10
 
     def test_fft_matches_direct_at_prime(self):
         p, n = 5, 3
-        w = mobius_half_weight(p, n, MONIC)
+        w = weight_table(p, n, MONIC, "mobius-half")
         rng = np.random.default_rng(1)
         for _ in range(10):
             u = tuple(rng.integers(0, p, size=3).tolist())
@@ -160,7 +161,7 @@ class TestDft:
 
 class TestCrtProduct:
     def test_prime_reduces_to_table(self):
-        w = mobius_half_weight(5, 3, MONIC)
+        w = weight_table(5, 3, MONIC, "mobius-half")
         u = (1, 2, 3)
         assert abs(dft_point(5, 3, MONIC, "mobius-half", u) - w.dft()[u]) < 1e-14
 
@@ -202,8 +203,8 @@ class TestAffineRelation:
     @pytest.mark.parametrize("p", [3, 5])
     def test_general_from_monic_at_zero_leading_dual(self, p):
         n = 3
-        wg = mobius_half_weight(p, n, GENERAL).dft()
-        wm = mobius_half_weight(p, n, MONIC).dft()
+        wg = weight_table(p, n, GENERAL, "mobius-half").dft()
+        wm = weight_table(p, n, MONIC, "mobius-half").dft()
         for u in np.ndindex(*(p,) * n):
             if all(c == 0 for c in u):
                 continue
@@ -221,7 +222,7 @@ class TestMaxNonzeroPhase:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_squarefree_decay_bound(self, p):
-        scan = max_nonzero_phase(squarefree_complement_weight(p, 3))
+        scan = max_nonzero_phase(weight_table(p, 3, MONIC, "squarefree-complement"))
         assert scan.max_abs <= 3.5 / p ** 2
 
     def test_matches_direct_oracle(self):
@@ -239,9 +240,9 @@ class TestMaxNonzeroPhase:
             assert abs(scan.max_abs - top) < 1e-12, (p, n, mode, rule)
             assert scan.argmax == first, (p, n, mode, rule)
 
-    def test_sampled_mode_deterministic(self):
+    def test_repeated_scan_deterministic(self):
         # repeated scans agree, and no randomly sampled phase beats the scan
-        w = squarefree_complement_weight(7, 3)
+        w = weight_table(7, 3, MONIC, "squarefree-complement")
         a = max_nonzero_phase(w)
         assert a == max_nonzero_phase(w)
         ft = w.dft()
@@ -251,10 +252,10 @@ class TestMaxNonzeroPhase:
             if any(u):
                 assert abs(ft[u]) <= a.max_abs + 1e-15
 
-    def test_sampled_values_match_table(self):
+    def test_scan_values_match_table(self):
         # the reported max is the cached transform at the reported argmax,
         # and sampled table entries agree with direct summation
-        w = mobius_half_weight(5, 3, MONIC)
+        w = weight_table(5, 3, MONIC, "mobius-half")
         scan = max_nonzero_phase(w)
         ft = w.dft()
         assert abs(scan.max_abs - abs(ft[scan.argmax])) < 1e-12
@@ -303,7 +304,48 @@ class TestSmoothWeight:
             assert abs(lhs - direct) <= 1e-12 * abs(direct), (rule, lhs, direct)
 
 
+def dual_sum_oracle(n, mode, d, H, rule, phi):
+    """H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), one phase at a time over
+    the same window |u_i| <= U that `poisson_check` truncates to, with
+    psi_hat_d from the CRT point evaluator (memoized by u mod d)."""
+    dim = space_dim(n, mode)
+    U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)
+    psi_hat = {}
+    total = 0j
+    for u in itertools.product(range(-U, U + 1), repeat=dim):
+        r = tuple(c % d for c in u)
+        if r not in psi_hat:
+            psi_hat[r] = dft_point(d, n, mode, rule, r)
+        total += phi.fourier(tuple(c * H / d for c in u)) * psi_hat[r]
+    return (H ** dim * total).real
+
+
 class TestPoisson:
+    @pytest.mark.parametrize("H", [3.0, 4.0])
+    @pytest.mark.parametrize("d", [1, 5, 6, 10])
+    @pytest.mark.parametrize("mode,rule", [(MONIC, "mobius-half"),
+                                           (MONIC, "squarefree"),
+                                           (GENERAL, "mobius-half")])
+    def test_dual_matches_per_phase_oracle(self, mode, rule, d, H):
+        phi = SmoothWeight(sigma=1.2, amplitude=2.0)
+        rep = poisson_check(3, mode, d, H, rule, phi)
+        want = dual_sum_oracle(3, mode, d, H, rule, phi)
+        assert abs(rep.rhs - want) <= 1e-12 * abs(want), (rep.rhs, want)
+
+    @pytest.mark.parametrize("n,mode", [(3, GENERAL), (4, MONIC)])
+    def test_modulus_30_sides_agree(self, n, mode):
+        rep = poisson_check(n, mode, 30, 4.0, "mobius-half")
+        assert rep.rel_diff <= 1e-12, rep
+
+    def test_budget_refused_before_tables(self):
+        # two 210^4 contractions: 3.9e9 over a 1e9 budget, refused at once
+        weight_table.cache_clear()
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            poisson_check(3, GENERAL, 210, 8.0, "mobius-half", budget=10 ** 9)
+        assert time.perf_counter() - started < 1.0
+        assert weight_table.cache_info().misses == 0
+
     def test_trivial_modulus(self):
         rep = poisson_check(3, MONIC, 1, 4.0, "mobius-half")
         assert rep.abs_diff < 1e-8 * abs(rep.lhs)

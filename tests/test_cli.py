@@ -221,6 +221,16 @@ class TestPoissonCheck:
         for line in body[1:]:
             assert float(line.split(",")[-1]) <= 1e-6
 
+    def test_budget_charges_both_contractions(self, tmp_path, capsys):
+        # d=30 monic n=3: two 30^3 contractions cost 54,000
+        argv = ["poisson-check", "--n", "3", "--d", "30", "--H", "4",
+                "--mode", "monic", "--rule", "mobius-half",
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv + ["--budget", "54000"]) == 0
+        assert main(argv + ["--budget", "53999"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
+
 
 class TestConfigFile:
     def test_config_fills_and_flags_override(self, tmp_path):

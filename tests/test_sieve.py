@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polysieve._ints import mobius, omega, squarefree_up_to, tau
+from polysieve._ints import mobius, omega, prime_factors, squarefree_up_to, tau
 from polysieve.charsum import GENERAL, MONIC, SmoothWeight
 from polysieve.sieve import (
     AnBoxCount,
@@ -24,6 +24,7 @@ from polysieve.sieve import (
     hit_exponent,
     nu_weight,
     optimal_d,
+    pair_weights,
     qf_gram,
     qf_value,
     selberg_weights,
@@ -139,6 +140,31 @@ class TestQf:
             bound = Fraction(1, 2 ** omega(discriminant(f)))
             assert qf_value(f, w4, 3) >= bound
         assert found > 0
+
+    def test_matches_double_loop(self):
+        # the lcm-aggregated form against the defining double sum over
+        # (d1, d2), exactly
+        rng = random.Random(7)
+        for D in (1, 4, 6, 10):
+            w = selberg_weights(D)
+            for _ in range(5):
+                f = ZPoly.from_coeffs([rng.randint(-9, 9) for _ in range(3)] + [1])
+                want = Fraction(0)
+                for d1, l1 in w.lam.items():
+                    for d2, l2 in w.lam.items():
+                        term = l1 * l2
+                        for p in set(prime_factors(d1)) | set(prime_factors(d2)):
+                            term *= nu_weight(f, p, 3)
+                        want += term
+                assert qf_value(f, w, 3) == want
+
+    def test_pair_weights_keys_and_total(self):
+        # keys are the lcms of the support, ascending; the weights add up
+        # to (sum_d lambda_d)^2
+        w = selberg_weights(10)
+        pw = pair_weights(w)
+        assert list(pw) == sorted({math.lcm(a, b) for a in w.lam for b in w.lam})
+        assert sum(pw.values()) == sum(w.lam.values()) ** 2
 
     def test_gram_psd_random(self):
         rng = random.Random(99)
