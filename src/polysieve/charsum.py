@@ -344,24 +344,76 @@ class SmoothWeight:
         return math.ceil(self.sigma * scale * math.sqrt(math.log(1 / rel_tol) / math.pi)) + 1
 
 
+def _split_cost(A: int, B: int, dim: int) -> int:
+    # axis-by-axis contraction of the (B,)^dim table against Theta, plus
+    # the two dense side tables
+    return sum(A ** i * B ** (dim - i + 1) for i in range(1, dim + 1)) + A ** dim + B ** dim
+
+
+@lru_cache(maxsize=None)
+def _crt_split(d: int, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes of squarefree d split into coprime sides (A-primes,
+    B-primes), choosing among all 2^omega(d) subsets the one of lowest
+    `_split_cost` (the first in subset order on ties)."""
+    primes = prime_factors(d)
+    splits = [(tuple(p for i, p in enumerate(primes) if mask >> i & 1),
+               tuple(p for i, p in enumerate(primes) if not mask >> i & 1))
+              for mask in range(1 << len(primes))]
+    return min(splits, key=lambda s: _split_cost(math.prod(s[0]), math.prod(s[1]), dim))
+
+
+def contraction_cost(d: int, dim: int) -> int:
+    """Modelled multiply-adds of `_wrapped_contraction` at modulus d: the
+    cost of the split it picks."""
+    a_side, b_side = _crt_split(d, dim)
+    return _split_cost(math.prod(a_side), math.prod(b_side), dim)
+
+
+def table_build_cost(p: int, n: int) -> int:
+    """Modelled cost of classifying the p^n monic polynomials behind one
+    weight table: one distinct-degree split of n^3 * ceil(log2 p) each."""
+    return p ** n * n ** 3 * math.ceil(math.log2(p))
+
+
+def _dense_product(M: int, dim: int, tables: list[tuple[int, np.ndarray]], dtype) -> np.ndarray:
+    """prod_p table_p[x mod p] over x in (Z/M)^dim, for primes p | M."""
+    out = np.ones((M,) * dim, dtype=dtype)
+    for p, vals in tables:
+        # index x = q p + (x mod p): broadcast the table over q, in place
+        out.reshape((M // p, p) * dim)[...] *= vals.reshape((1, p) * dim)
+    return out
+
+
 def _wrapped_contraction(d: int, dim: int, theta: np.ndarray,
                          tables: list[tuple[int, np.ndarray]]):
     """sum_{r in (Z/d)^dim} prod_i theta[r_i] * prod_p table_p[r mod p] for
     a wrapped per-residue profile theta (length d) and one (p,)*dim table per
-    prime p | d; the result takes its dtype from the inputs."""
+    prime p | d; the result takes its dtype from the inputs.
+
+    The sum is split by CRT along d = A*B (`_crt_split`): with
+    Theta[r mod A, r mod B] = theta[r] it reads
+    sum_{a, b} prod_i Theta[a_i, b_i] * T_A[a] * T_B[b], so the dense
+    (B,)^dim table is contracted against Theta one axis at a time (b_i -> a_i)
+    and the result dotted with the dense (A,)^dim table, at
+    `contraction_cost(d, dim)` multiply-adds instead of d^dim."""
     dtype = np.result_type(theta, *(vals for _, vals in tables))
-    total = 0.0
-    k = dim - 1
-    for r0 in range(d):
-        # dim = 1 makes each slab a 0-d array
-        slab = np.ones((d,) * k, dtype=dtype)
-        for p, vals in tables:
-            # index r = q p + (r mod p): broadcast the table over q, in place
-            slab.reshape((d // p, p) * k)[...] *= vals[r0 % p].reshape((1, p) * k)
-        for _ in range(k):
-            slab = np.tensordot(slab, theta, axes=([-1], [0]))
-        total += theta[r0] * slab[()]
-    return total
+    a_side, b_side = _crt_split(d, dim)
+    A, B = math.prod(a_side), math.prod(b_side)
+    # every intermediate has A^i * B^(dim-i) entries, at most max(A, B)^dim
+    if max(A, B) ** dim > _TABLE_SIZE_CAP:
+        raise BudgetExceededError(
+            f"contraction at d={d} needs a {max(A, B)}^{dim} table, over {_TABLE_SIZE_CAP} entries")
+    by_prime = dict(tables)
+    r = np.arange(d)
+    Theta = np.empty((A, B), dtype=theta.dtype)
+    Theta[r % A, r % B] = theta
+    acc = _dense_product(B, dim, [(p, by_prime[p]) for p in b_side], dtype)
+    for _ in range(dim):
+        # contract the leading b axis; the new a axis goes last, so after
+        # dim steps the axes are (a_1, ..., a_dim) in order
+        acc = np.tensordot(acc, Theta, axes=([0], [1]))
+    t_a = _dense_product(A, dim, [(p, by_prime[p]) for p in a_side], dtype)
+    return np.dot(acc.ravel(), t_a.ravel())
 
 
 def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
@@ -397,14 +449,17 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     Gaussian tails fall below machine precision.  The two sides are the
     same (Z/d)^dim contraction: phi wrapped against the psi_p tables, and
     phi_hat wrapped against the twisted psi_hat_p tables.  Each is charged
-    d^dim, and the check refuses before any table is built."""
+    `contraction_cost(d, dim)`, each prime p | d its table build and
+    transform, and the check refuses before any table is built."""
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
     dim = space_dim(n, mode)
-    cost = 2 * d ** dim
+    cost = 2 * contraction_cost(d, dim) + sum(
+        table_build_cost(p, n) + fft_cost(p ** dim) for p in prime_factors(d))
     if budget is not None and cost > budget:
         raise BudgetExceededError(
-            f"poisson check of two {d}^{dim} contractions costs {cost}, over budget {budget}")
+            f"poisson check at d={d} (two contractions, {dim} coordinates, "
+            f"tables included) costs {cost}, over budget {budget}")
     phi = phi if phi is not None else SmoothWeight()
     lhs = lattice_weight_sum(d, n, mode, rule, phi, H)
 

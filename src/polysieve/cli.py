@@ -139,7 +139,7 @@ def cmd_fourier_scan(args) -> int:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
         # distinct-degree splits of the p^n monic polynomials, then the FFT
-        cost = (p ** n * n ** 3 * math.ceil(math.log2(p))
+        cost = (charsum.table_build_cost(p, n)
                 + charsum.fft_cost(p ** charsum.space_dim(n, mode)))
         if cost > resolved["budget"]:
             raise BudgetExceededError(

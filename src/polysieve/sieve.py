@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _ints
-from .charsum import MONIC, SmoothWeight, lattice_weight_sum, space_dim
+from .charsum import (MONIC, SmoothWeight, contraction_cost, lattice_weight_sum, space_dim,
+                      table_build_cost)
 from .errors import BudgetExceededError, SieveInequalityError
 from .fppoly import mobius_pn
 from .zpoly import ZPoly, reduce_mod, square_disc_scan
@@ -210,7 +211,9 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     start = time.perf_counter()
     pair_weight = pair_weights(selberg_weights(D))
     if budget is not None:
-        est = sum(m ** dim for m in pair_weight) + (2 * phi.lattice_radius(H, 1e-16) + 1) ** dim
+        est = (sum(contraction_cost(m, dim) for m in pair_weight)
+               + sum(table_build_cost(p, n) for p in _ints.primes_up_to(D))
+               + (2 * phi.lattice_radius(H, 1e-16) + 1) ** dim)
         if est > budget:
             raise BudgetExceededError(f"verification cost estimate {est} exceeds budget {budget}")
     rhs = 0.0

@@ -3,7 +3,8 @@
 The direct-summation evaluator `dft_point_direct` is the oracle for the
 CRT product formula; classical one-dimensional Poisson summation for the
 Gaussian anchors the lattice checks, a sum over an explicit box checks the
-lattice side, and a per-phase loop over `dft_point` checks the dual side.
+lattice side, a per-phase loop over `dft_point` checks the dual side, and a
+plain residue-by-residue loop checks the CRT-split contraction both share.
 """
 
 import itertools
@@ -19,6 +20,10 @@ from polysieve.charsum import (
     Phase,
     SmoothWeight,
     WeightTable,
+    _crt_split,
+    _twisted_dfts,
+    _wrapped_contraction,
+    contraction_cost,
     dft_full,
     dft_point,
     dft_point_direct,
@@ -30,6 +35,7 @@ from polysieve.charsum import (
     space_dim,
     weight_table,
 )
+from polysieve._ints import is_squarefree, prime_factors
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import enumerate_fp, is_odd_poly, is_squarefree_fp, mobius_pn
 
@@ -320,6 +326,90 @@ def dual_sum_oracle(n, mode, d, H, rule, phi):
     return (H ** dim * total).real
 
 
+def contraction_oracle(d, dim, theta, tables):
+    """sum_{r in (Z/d)^dim} prod_i theta[r_i] * prod_p T_p[r mod p], one
+    residue vector at a time, each table entry read by index."""
+    theta = theta.tolist()
+    tables = [(p, vals.tolist()) for p, vals in tables]
+    total = 0
+    for r in itertools.product(range(d), repeat=dim):
+        term = 1
+        for ri in r:
+            term *= theta[ri]
+        for p, vals in tables:
+            entry = vals
+            for ri in r:
+                entry = entry[ri % p]
+            term *= entry
+        total += term
+    return total
+
+
+def assert_contraction_matches(d, dim, theta, tables):
+    got = _wrapped_contraction(d, dim, theta, tables)
+    want = contraction_oracle(d, dim, theta, tables)
+    assert abs(got - want) <= 1e-12 * abs(want), (d, dim, got, want)
+
+
+class TestWrappedContraction:
+    @pytest.mark.filterwarnings("ignore:mobius-half weight is intended")
+    @pytest.mark.parametrize("d", [1, 2, 5, 6, 30, 35])
+    @pytest.mark.parametrize("mode,rule", [(MONIC, "mobius-half"),
+                                           (MONIC, "squarefree"),
+                                           (GENERAL, "mobius-half")])
+    def test_weight_tables_match_oracle(self, mode, rule, d):
+        # the psi_p tables of the primal side and the twisted psi_hat_p
+        # tables of the dual side, against a positive wrapped profile
+        # general n = 3 at d = 30, 35 would loop over ~10^6 residues; n = 2
+        # keeps the oracle at d^3
+        n = 2 if mode == GENERAL and d ** 4 > 10 ** 5 else 3
+        dim = space_dim(n, mode)
+        theta = np.random.default_rng(d).uniform(0.1, 1.0, size=d)
+        real = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
+        assert_contraction_matches(d, dim, theta, real)
+        assert_contraction_matches(d, dim, theta, _twisted_dfts(d, n, mode, rule))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_every_small_modulus_matches_oracle(self, dim):
+        # every squarefree d with d^dim <= 10^5 (monic and general n = 3),
+        # with random real and complex tables so that every split is hit
+        rng = np.random.default_rng(dim)
+        d = 1
+        while d ** dim <= 10 ** 5:
+            if is_squarefree(d):
+                theta = rng.uniform(-1.0, 1.0, size=d)
+                real = [(p, rng.uniform(-1.0, 1.0, size=(p,) * dim))
+                        for p in prime_factors(d)]
+                cplx = [(p, vals + 1j * rng.uniform(-1.0, 1.0, size=vals.shape))
+                        for p, vals in real]
+                assert_contraction_matches(d, dim, theta, real)
+                assert_contraction_matches(d, dim, theta, cplx)
+            d += 1
+
+    def test_split_is_a_coprime_factorization(self):
+        for d in range(1, 211):
+            if not is_squarefree(d):
+                continue
+            for dim in range(1, 7):
+                a_side, b_side = _crt_split(d, dim)
+                A, B = math.prod(a_side), math.prod(b_side)
+                assert A * B == d and math.gcd(A, B) == 1, (d, dim)
+                assert sorted(a_side + b_side) == list(prime_factors(d))
+
+    def test_oversized_split_refused(self):
+        # d = 2*3*...*23 splits as 15,015 * 14,858: a 15,015^4 table is
+        # refused before theta or any table is read
+        d = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23])
+        with pytest.raises(BudgetExceededError):
+            _wrapped_contraction(d, 4, np.ones(1), [])
+
+    def test_cost_beats_the_full_slab(self):
+        for d in range(2, 211):
+            if is_squarefree(d) and len(prime_factors(d)) >= 2:
+                for dim in range(3, 7):
+                    assert contraction_cost(d, dim) < d ** dim, (d, dim)
+
+
 class TestPoisson:
     @pytest.mark.parametrize("H", [3.0, 4.0])
     @pytest.mark.parametrize("d", [1, 5, 6, 10])
@@ -337,12 +427,20 @@ class TestPoisson:
         rep = poisson_check(n, mode, 30, 4.0, "mobius-half")
         assert rep.rel_diff <= 1e-12, rep
 
+    def test_modulus_210_general(self):
+        # four primes, 210^4 residues: split as 15 * 14
+        rep = poisson_check(3, GENERAL, 210, 8.0, "mobius-half")
+        assert rep.rel_diff <= 1e-12, rep
+
     def test_budget_refused_before_tables(self):
-        # two 210^4 contractions: 3.9e9 over a 1e9 budget, refused at once
+        # d = 2*3*5*...*23: two contractions of ~3.0e21 over a 1e9 budget,
+        # refused at once
+        d = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23])
+        assert contraction_cost(d, 4) > 10 ** 9
         weight_table.cache_clear()
         started = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            poisson_check(3, GENERAL, 210, 8.0, "mobius-half", budget=10 ** 9)
+            poisson_check(3, GENERAL, d, 8.0, "mobius-half", budget=10 ** 9)
         assert time.perf_counter() - started < 1.0
         assert weight_table.cache_info().misses == 0
 

@@ -222,12 +222,14 @@ class TestPoissonCheck:
             assert float(line.split(",")[-1]) <= 1e-6
 
     def test_budget_charges_both_contractions(self, tmp_path, capsys):
-        # d=30 monic n=3: two 30^3 contractions cost 54,000
+        # d=30 monic n=3, split 6 * 5: two contractions of 3,071 plus the
+        # p = 2, 3, 5 table builds (216 + 1,458 + 10,125) and transforms
+        # (24 + 135 + 875) cost 18,975
         argv = ["poisson-check", "--n", "3", "--d", "30", "--H", "4",
                 "--mode", "monic", "--rule", "mobius-half",
                 "--out", str(tmp_path / "p.csv")]
-        assert main(argv + ["--budget", "54000"]) == 0
-        assert main(argv + ["--budget", "53999"]) == 3
+        assert main(argv + ["--budget", "18975"]) == 0
+        assert main(argv + ["--budget", "18974"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("budget refusal:") and err.count("\n") == 1
 

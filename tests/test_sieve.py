@@ -8,13 +8,22 @@ checks of assembled Gram matrices.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polysieve._ints import mobius, omega, prime_factors, squarefree_up_to, tau
-from polysieve.charsum import GENERAL, MONIC, SmoothWeight
+from polysieve.charsum import (
+    GENERAL,
+    MONIC,
+    SmoothWeight,
+    contraction_cost,
+    table_build_cost,
+    weight_table,
+)
+from polysieve.errors import BudgetExceededError
 from polysieve.sieve import (
     AnBoxCount,
     LocalMatrix,
@@ -191,6 +200,26 @@ class TestVerify:
     def test_general_small(self):
         rep = verify_modified_selberg(3, 3, 4, GENERAL)
         assert rep.margin >= -1e-9
+
+    def test_budget_charges_contractions_tables_and_box(self):
+        # (3, 3, 4) monic: a CRT-split contraction per pair modulus, the
+        # p = 2, 3 table builds and the left side's box
+        phi = SmoothWeight.box_calibrated(3)
+        moduli = pair_weights(selberg_weights(4))
+        est = (sum(contraction_cost(m, 3) for m in moduli)
+               + table_build_cost(2, 3) + table_build_cost(3, 3)
+               + (2 * phi.lattice_radius(3, 1e-16) + 1) ** 3)
+        verify_modified_selberg(3, 3, 4, MONIC, phi=phi, budget=est)
+        with pytest.raises(BudgetExceededError):
+            verify_modified_selberg(3, 3, 4, MONIC, phi=phi, budget=est - 1)
+
+    def test_budget_refused_before_tables(self):
+        weight_table.cache_clear()
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            verify_modified_selberg(3, 20, 30, MONIC, budget=10 ** 7)
+        assert time.perf_counter() - started < 1.0
+        assert weight_table.cache_info().misses == 0
 
     def test_rhs_independent_of_engine_small(self):
         # brute-force recomputation of the right side over an explicit box
