@@ -27,7 +27,6 @@ from .charsum import (
     Phase,
     SmoothWeight,
     WeightTable,
-    dft_full,
     dft_point,
     dft_point_direct,
     max_nonzero_phase,

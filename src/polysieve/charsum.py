@@ -209,15 +209,6 @@ def fft_cost(size: int) -> int:
     return size * math.ceil(math.log2(size))
 
 
-def dft_full(w: WeightTable, budget: int | None = DEFAULT_OPS_BUDGET) -> np.ndarray:
-    """Full transform table over all phases mod p, charged `fft_cost`."""
-    cost = fft_cost(w.size)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"full transform cost {cost} exceeds budget {budget}; use dft_point")
-    return w.dft()
-
-
 def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.ndarray]]:
     """[(p, T_p)] over the primes p | d, where T_p is the cached transform
     of the p-table with every axis permuted by s -> c_p s mod p,
@@ -316,12 +307,14 @@ class SmoothWeight:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.amplitude <= 0:
+        if not (self.sigma > 0 and self.amplitude > 0):  # NaN fails too
             raise ValueError("sigma and amplitude must be positive")
 
     @classmethod
     def box_calibrated(cls, dim: int, sigma: float = 1.0) -> "SmoothWeight":
         """Scaled so the minimum over [-1, 1]^dim (at the corners) is 1."""
+        if not sigma > 0:
+            raise ValueError("sigma must be positive")
         return cls(sigma, math.exp(math.pi * dim / sigma ** 2))
 
     def value(self, xs: Sequence[float]) -> float:

@@ -2,7 +2,7 @@
 
 Subcommands: fourier-scan, sieve-verify, count, admissibility, exponents,
 poisson-check.  An optional config file holds key=value lines mirroring the
-flags; explicit flags win.  Exit codes: 0 pass, 1 assertion failure,
+subcommand's flags (any other key is a usage error); explicit flags win.  Exit codes: 0 pass, 1 assertion failure,
 2 usage error, 3 budget refusal, 4 internal error (any other exception,
 reported as one `internal error: <Type>: <message>` line on stderr).
 
@@ -53,26 +53,42 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-_COERCERS = {
-    "p": _csv_ints, "n": _csv_ints, "H": _csv_ints, "D": _csv_ints,
-    "d": _csv_ints, "r": _csv_ints, "mode": str, "rule": str,
-    "sigma": float, "budget": int, "seed": int, "threads": int,
-    "out": str, "kind": str, "cn": _fraction,
+# every flag any subcommand takes: key -> (type, help).  A subcommand takes
+# `--config` plus one flag per key of its defaults dict; config-file values
+# go through the same type and choices.
+_FLAGS = {
+    "p": (_csv_ints, "comma list of primes"),
+    "n": (_csv_ints, "comma list of degrees"),
+    "H": (_csv_ints, "comma list of box heights"),
+    "D": (_csv_ints, "comma list of sieve levels"),
+    "d": (_csv_ints, "comma list of squarefree moduli"),
+    "r": (_csv_ints, "comma list of prime-factor caps"),
+    "cn": (_fraction, "field-count exponent c_n"),
+    "kind": (str, "which box count"),
+    "mode": (str, "polynomial family"),
+    "rule": (str, "local weight rule"),
+    "sigma": (float, "Gaussian scale parameter"),
+    "budget": (int, "global elementary-operation cap"),
+    "seed": (int, "no effect; echoed in the report config only"),
+    "threads": (int, "no effect; echoed in the report config only"),
+    "out": (str, "output path (default stdout)"),
 }
 
 
-def _resolve(args: argparse.Namespace, defaults: dict):
+def _resolve(args: argparse.Namespace, defaults: dict, choices: dict) -> dict:
     """Fill unset flags from the config file, then from built-in defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise _Usage(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in cfg:
-            resolved[key] = _COERCERS[key](cfg[key])
-        else:
-            resolved[key] = default
+        val = getattr(args, key)
+        if val is None and key in cfg:
+            val = _FLAGS[key][0](cfg[key])
+            if key in choices and val not in choices[key]:
+                raise _Usage(f"config {key}={val}: choose from {', '.join(choices[key])}")
+        resolved[key] = default if val is None else val
     return resolved
 
 
@@ -113,11 +129,7 @@ def _emit_csv(resolved: dict, columns: list[str], rows: list[tuple]) -> None:
 
 def _modes(resolved: dict) -> list[str]:
     mode = resolved["mode"]
-    if mode == "both":
-        return [charsum.GENERAL, charsum.MONIC]
-    if mode not in (charsum.GENERAL, charsum.MONIC):
-        raise _Usage(f"unknown mode {mode!r}")
-    return [mode]
+    return [charsum.GENERAL, charsum.MONIC] if mode == "both" else [mode]
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +142,7 @@ _FOURIER_DEFAULTS = {
 }
 
 
-def cmd_fourier_scan(args) -> int:
-    resolved = _resolve(args, _FOURIER_DEFAULTS)
+def cmd_fourier_scan(resolved: dict) -> int:
     rule = charsum._canon_rule(resolved["rule"])
     cells = [(p, n, mode)
              for p in resolved["p"] for n in resolved["n"] for mode in _modes(resolved)]
@@ -172,8 +183,7 @@ _VERIFY_DEFAULTS = {
 }
 
 
-def cmd_sieve_verify(args) -> int:
-    resolved = _resolve(args, _VERIFY_DEFAULTS)
+def cmd_sieve_verify(resolved: dict) -> int:
     if any(D < 1 for D in resolved["D"]):
         raise _Usage("sieve level D must be >= 1")
     if any(H < 1 for H in resolved["H"]):
@@ -184,7 +194,7 @@ def cmd_sieve_verify(args) -> int:
     for n, H, D, mode in cells:
         dim = charsum.space_dim(n, mode)
         sigma = resolved["sigma"]
-        phi = (charsum.SmoothWeight.box_calibrated(dim, sigma) if sigma
+        phi = (charsum.SmoothWeight.box_calibrated(dim, sigma) if sigma is not None
                else charsum.SmoothWeight.box_calibrated(dim))
         rep = sieve.verify_modified_selberg(n, H, D, mode, phi=phi,
                                             budget=resolved["budget"], strict=False)
@@ -216,8 +226,7 @@ def _slopes(hs: list[int], counts: list[int]) -> list:
                    for h0, h1, c0, c1 in zip(hs, hs[1:], counts, counts[1:])]
 
 
-def cmd_count(args) -> int:
-    resolved = _resolve(args, _COUNT_DEFAULTS)
+def cmd_count(resolved: dict) -> int:
     kind = resolved["kind"]
     ns = resolved["n"]
     hs = sorted(resolved["H"])
@@ -238,19 +247,18 @@ def cmd_count(args) -> int:
         _emit_csv(resolved, ["n", "H", "mode", "count", "weighted_sum",
                              "slope", "theory_exponent"], rows)
         return 0
-    if kind == "almost-prime":
-        rows = []
-        for n in ns:
-            for r in resolved["r"]:
-                counts = [almostprime.count_almost_prime(n, H, r,
-                                                         budget=resolved["budget"])
-                          for H in hs]
-                for H, c, slope in zip(hs, counts, _slopes(hs, counts)):
-                    rows.append((n, H, r, c, c * math.log(H) / H ** n, slope, n))
-        _emit_csv(resolved, ["n", "H", "r", "count", "normalized",
-                             "slope", "theory_exponent"], rows)
-        return 0
-    raise _Usage(f"unknown count kind {kind!r}")
+    if resolved["mode"] != charsum.MONIC:
+        raise _Usage("almost-prime counts monic polynomials only")
+    rows = []
+    for n in ns:
+        for r in resolved["r"]:
+            counts = [almostprime.count_almost_prime(n, H, r, budget=resolved["budget"])
+                      for H in hs]
+            for H, c, slope in zip(hs, counts, _slopes(hs, counts)):
+                rows.append((n, H, r, c, c * math.log(H) / H ** n, slope, n))
+    _emit_csv(resolved, ["n", "H", "r", "count", "normalized",
+                         "slope", "theory_exponent"], rows)
+    return 0
 
 
 _ADMISS_DEFAULTS = {
@@ -258,8 +266,7 @@ _ADMISS_DEFAULTS = {
 }
 
 
-def cmd_admissibility(args) -> int:
-    resolved = _resolve(args, _ADMISS_DEFAULTS)
+def cmd_admissibility(resolved: dict) -> int:
     rows = []
     for n in resolved["n"]:
         for r in resolved["r"]:
@@ -276,8 +283,7 @@ _EXP_DEFAULTS = {
 }
 
 
-def cmd_exponents(args) -> int:
-    resolved = _resolve(args, _EXP_DEFAULTS)
+def cmd_exponents(resolved: dict) -> int:
     rows = []
     for n in resolved["n"]:
         if n < 3:
@@ -308,8 +314,7 @@ _POISSON_DEFAULTS = {
 }
 
 
-def cmd_poisson_check(args) -> int:
-    resolved = _resolve(args, _POISSON_DEFAULTS)
+def cmd_poisson_check(resolved: dict) -> int:
     rules = (["mobius-half", "squarefree"] if resolved["rule"] == "both"
              else [resolved["rule"]])
     cells = [(n, mode, rule, d, H)
@@ -330,6 +335,29 @@ def cmd_poisson_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_MODES = (charsum.GENERAL, charsum.MONIC, "both")
+
+# name -> (handler, defaults, choices, help); the defaults dict is the
+# subcommand's whole flag set
+_COMMANDS = {
+    "fourier-scan": (cmd_fourier_scan, _FOURIER_DEFAULTS,
+                     {"mode": _MODES, "rule": ("mobius-half", "squarefree")},
+                     "transform decay scan over a (p, n, rule) grid"),
+    "sieve-verify": (cmd_sieve_verify, _VERIFY_DEFAULTS, {"mode": _MODES},
+                     "brute-force check of the sieve upper bound"),
+    "count": (cmd_count, _COUNT_DEFAULTS,
+              {"mode": _MODES, "kind": ("an-count", "almost-prime")},
+              "box counts with slope diagnostics"),
+    "admissibility": (cmd_admissibility, _ADMISS_DEFAULTS, {},
+                      "level-exponent admissibility table"),
+    "exponents": (cmd_exponents, _EXP_DEFAULTS, {},
+                  "exact exponent and level calculators"),
+    "poisson-check": (cmd_poisson_check, _POISSON_DEFAULTS,
+                      {"mode": _MODES, "rule": ("mobius-half", "squarefree", "both")},
+                      "lattice sum vs dual sum agreement"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysieve",
@@ -337,72 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"polysieve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--budget", type=int, help="global elementary-operation cap")
-    common.add_argument("--seed", type=int,
-                        help="no effect; echoed in the report config only")
-    common.add_argument("--threads", type=int,
-                        help="no effect; echoed in the report config only")
-    common.add_argument("--sigma", type=float, help="Gaussian scale parameter")
-
-    fourier = sub.add_parser("fourier-scan", parents=[common],
-                             help="transform decay scan over a (p, n, rule) grid")
-    fourier.add_argument("--p", type=_csv_ints, help="comma list of primes")
-    fourier.add_argument("--n", type=_csv_ints, help="comma list of degrees")
-    fourier.add_argument("--mode", choices=["general", "monic", "both"])
-    fourier.add_argument("--rule", choices=["mobius-half", "squarefree"])
-    fourier.set_defaults(func=cmd_fourier_scan)
-
-    verify = sub.add_parser("sieve-verify", parents=[common],
-                            help="brute-force check of the sieve upper bound")
-    verify.add_argument("--n", type=_csv_ints)
-    verify.add_argument("--H", type=_csv_ints)
-    verify.add_argument("--D", type=_csv_ints)
-    verify.add_argument("--mode", choices=["general", "monic", "both"])
-    verify.set_defaults(func=cmd_sieve_verify)
-
-    count = sub.add_parser("count", parents=[common],
-                           help="box counts with slope diagnostics")
-    count.add_argument("--kind", choices=["an-count", "almost-prime"])
-    count.add_argument("--n", type=_csv_ints)
-    count.add_argument("--H", type=_csv_ints)
-    count.add_argument("--r", type=_csv_ints)
-    count.add_argument("--mode", choices=["general", "monic", "both"])
-    count.set_defaults(func=cmd_count)
-
-    adm = sub.add_parser("admissibility", parents=[common],
-                         help="level-exponent admissibility table")
-    adm.add_argument("--n", type=_csv_ints)
-    adm.add_argument("--r", type=_csv_ints)
-    adm.set_defaults(func=cmd_admissibility)
-
-    exp = sub.add_parser("exponents", parents=[common],
-                         help="exact exponent and level calculators")
-    exp.add_argument("--n", type=_csv_ints)
-    exp.add_argument("--cn", type=_fraction, help="field-count exponent c_n")
-    exp.add_argument("--H", type=_csv_ints)
-    exp.set_defaults(func=cmd_exponents)
-
-    poisson = sub.add_parser("poisson-check", parents=[common],
-                             help="lattice sum vs dual sum agreement")
-    poisson.add_argument("--n", type=_csv_ints)
-    poisson.add_argument("--d", type=_csv_ints)
-    poisson.add_argument("--H", type=_csv_ints)
-    poisson.add_argument("--mode", choices=["general", "monic", "both"])
-    poisson.add_argument("--rule", choices=["mobius-half", "squarefree", "both"])
-    poisson.set_defaults(func=cmd_poisson_check)
-
+    for name, (_func, defaults, choices, text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", help="key=value config file; flags override it")
+        for key in defaults:
+            coerce, flag_help = _FLAGS[key]
+            cmd.add_argument(f"--{key}", type=coerce, choices=choices.get(key),
+                             help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, defaults, choices, _text = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return func(_resolve(args, defaults, choices))
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from .charsum import (MONIC, SmoothWeight, contraction_cost, lattice_weight_sum,
                       table_build_cost)
 from .errors import BudgetExceededError, SieveInequalityError
 from .fppoly import mobius_pn
-from .zpoly import ZPoly, reduce_mod, square_disc_scan
+from .zpoly import ZPoly, box_cost, reduce_mod, square_disc_scan
 
 MARGIN_TOLERANCE = 1e-9
 DEFAULT_VERIFY_BUDGET = 500_000_000
@@ -210,10 +210,13 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
     start = time.perf_counter()
     pair_weight = pair_weights(selberg_weights(D))
+    # the left side's box: refused here, before any weight table, when its
+    # discriminants could leave the int64 range
+    box = box_cost(n, phi.lattice_radius(H, 1e-16), mode == MONIC)[1]
     if budget is not None:
         est = (sum(contraction_cost(m, dim) for m in pair_weight)
                + sum(table_build_cost(p, n) for p in _ints.primes_up_to(D))
-               + (2 * phi.lattice_radius(H, 1e-16) + 1) ** dim)
+               + box)
         if est > budget:
             raise BudgetExceededError(f"verification cost estimate {est} exceeds budget {budget}")
     rhs = 0.0
@@ -265,16 +268,14 @@ class AnBoxCount:
 
 
 def count_an_box(n: int, H: int, monic: bool,
-                 include_degenerate: bool = False,
                  budget: int | None = DEFAULT_VERIFY_BUDGET) -> AnBoxCount:
     """Count height-H polynomials with square nonzero discriminant, plus the
-    companion weighted sum of 2^(-omega(LDisc)).  With include_degenerate,
-    vanishing discriminants join the raw count (never the weighted sum)."""
+    companion weighted sum of 2^(-omega(LDisc)) and the number of vanishing
+    discriminants."""
     survivors, zero_count = square_disc_scan(n, H, monic, budget=budget)
     weighted = Fraction(0)
     if survivors:
         lds = np.array([abs(c[-1] * d) for c, d in survivors], dtype=np.int64)
         for om in _ints.omega_batch(lds).tolist():
             weighted += Fraction(1, 2 ** om)
-    count = len(survivors) + (zero_count if include_degenerate else 0)
-    return AnBoxCount(count, weighted, zero_count)
+    return AnBoxCount(len(survivors), weighted, zero_count)

@@ -168,8 +168,7 @@ def enumerate_box(n: int, H: int, monic: bool = False,
     the general box requires a_n != 0.  Constant term varies fastest."""
     if n < 1 or H < 0:
         raise ValueError("need n >= 1 and H >= 0")
-    width = 2 * H + 1
-    count = width ** n if monic else width ** n * 2 * H
+    count = _box_points(n, H, monic)
     if budget is not None and count > budget:
         raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
     span = range(-H, H + 1)
@@ -234,12 +233,15 @@ def _ldisc_bound_sq(n: int, R: int, monic: bool) -> int:
     return f_sq ** (n - 1) * df_sq ** n
 
 
-def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
-    """Yield (coeffs, discs) int64 blocks over the height-R box: coeffs
-    holds the free coordinates low to high (a_0..a_{n-1} monic, a_0..a_n
-    general) in `enumerate_box` order, discs the exact discriminants.
+def _box_points(n: int, R: int, monic: bool) -> int:
+    """Lattice points of the height-R box: a_n = 1 when monic, else a_n != 0."""
+    return (2 * R + 1) ** n * (1 if monic else 2 * R)
 
-    Two checks run when it is called, before any work or allocation.
+
+def box_cost(n: int, R: int, monic: bool) -> tuple[int, int]:
+    """(points, cost) of the exact discriminants over the height-R box, the
+    charge of every box scan.
+
     Domain: a box whose Hadamard bound on |LDisc| reaches 2^63 is refused
     (|Disc| <= |LDisc|, and every term of the cubic closed form is smaller
     still).  Cost: 1 per point on the vectorized cubic route, (2n-1)^3 per
@@ -250,8 +252,18 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |LDisc| may reach "
             f"{math.isqrt(bound_sq)}, beyond the int64 range")
-    points = (2 * R + 1) ** n * (1 if monic else 2 * R)
-    cost = points if n == 3 else points * (2 * n - 1) ** 3
+    points = _box_points(n, R, monic)
+    return points, points if n == 3 else points * (2 * n - 1) ** 3
+
+
+def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
+    """Yield (coeffs, discs) int64 blocks over the height-R box: coeffs
+    holds the free coordinates low to high (a_0..a_{n-1} monic, a_0..a_n
+    general) in `enumerate_box` order, discs the exact discriminants.
+
+    When it is called, before any work or allocation, it refuses a box
+    outside the domain of `box_cost` or whose cost exceeds the budget."""
+    points, cost = box_cost(n, R, monic)
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"box of {points} lattice points costs {cost}, over budget {budget}")

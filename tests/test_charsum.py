@@ -24,7 +24,6 @@ from polysieve.charsum import (
     _twisted_dfts,
     _wrapped_contraction,
     contraction_cost,
-    dft_full,
     dft_point,
     dft_point_direct,
     lattice_weight_sum,
@@ -127,7 +126,7 @@ class TestWeightTables:
 class TestDft:
     def test_constant_weight_orthogonality(self):
         w = WeightTable(5, 3, MONIC, "custom", np.ones((5, 5, 5)))
-        ft = dft_full(w)
+        ft = w.dft()
         assert abs(ft[0, 0, 0] - 1.0) < 1e-12
         rest = np.abs(ft).copy()
         rest[0, 0, 0] = 0.0
@@ -143,11 +142,6 @@ class TestDft:
     def test_squarefree_zero_phase(self, p):
         w = weight_table(p, 3, MONIC, "squarefree-complement")
         assert abs(w.dft()[(0,) * 3] - 1 / p) < 1e-12
-
-    def test_budget(self):
-        w = weight_table(5, 3, MONIC, "mobius-half")
-        with pytest.raises(BudgetExceededError):
-            dft_full(w, budget=100)
 
     def test_parseval(self):
         for w in (weight_table(5, 3, GENERAL, "mobius-half"),

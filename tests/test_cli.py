@@ -1,10 +1,12 @@
 """CLI behaviors: exit codes, report formats, determinism, config merging."""
 
+import argparse
 import json
 import time
 
 import pytest
 
+from polysieve import cli
 from polysieve.cli import main
 
 
@@ -60,8 +62,7 @@ class TestFourierScan:
 
     def test_budget_charges_transform_cost(self, tmp_path):
         # building the table splits 343 cubics at 3^3 * ceil(log2 7) each
-        # (27,783); transforming it costs 343 * ceil(log2 343) = 3087, as in
-        # dft_full
+        # (27,783); transforming it costs 343 * ceil(log2 343) = 3087
         argv = ["fourier-scan", "--p", "7", "--n", "3", "--out", str(tmp_path / "x.csv")]
         assert main(argv + ["--budget", "30870"]) == 0
         assert main(argv + ["--budget", "30869"]) == 3
@@ -257,6 +258,16 @@ class TestConfigFile:
         rc = main(["fourier-scan", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["sigma=2\n", "p=3\nbogus=1\n", "mode=bogus\n"])
+    def test_key_or_value_not_taken_exits_two(self, tmp_path, capsys, text):
+        # fourier-scan takes no sigma: a config key is held to the flag set
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["fourier-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_config_echoed_in_header(self, tmp_path):
         out = tmp_path / "a.csv"
         main(["fourier-scan", "--p", "3", "--n", "3", "--out", str(out)])
@@ -270,6 +281,36 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["fourier-scan", "--bogus", "1"])
         assert exc.value.code == 2
+
+    def test_flags_are_the_defaults_keys(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS)
+        for name, parser in sub.choices.items():
+            flags = {o for a in parser._actions for o in a.option_strings}
+            defaults = cli._COMMANDS[name][1]
+            assert flags - {"-h", "--help"} == {"--config"} | {f"--{k}" for k in defaults}
+
+    @pytest.mark.parametrize("argv", [["exponents", "--budget", "1"],
+                                      ["admissibility", "--seed", "1"],
+                                      ["fourier-scan", "--sigma", "2"],
+                                      ["count", "--sigma", "2"]])
+    def test_flag_the_report_ignores_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve-verify", "--n", "3", "--H", "3", "--D", "1", "--sigma", "0"],
+        ["count", "--kind", "almost-prime", "--H", "5", "--mode", "general"],
+        ["count", "--kind", "almost-prime", "--H", "5", "--mode", "both"],
+    ])
+    def test_input_never_silently_replaced(self, tmp_path, capsys, argv):
+        # sigma 0 once ran at sigma 1; almost-prime counts are monic only
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
 
     def test_missing_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -221,6 +221,17 @@ class TestVerify:
         assert time.perf_counter() - started < 1.0
         assert weight_table.cache_info().misses == 0
 
+    def test_box_refused_before_tables(self):
+        # the quartic box (R = 12) costs 25^4 * 7^3 = 133,984,375 at Bareiss
+        # rates; the degree-11 box may leave int64.  Both refuse before the
+        # right side builds any table.
+        for args, budget, match in (((4, 3, 6), 553_673, "budget"),
+                                    ((11, 1, 2), None, "int64")):
+            weight_table.cache_clear()
+            with pytest.raises(BudgetExceededError, match=match):
+                verify_modified_selberg(*args, MONIC, budget=budget)
+            assert weight_table.cache_info().misses == 0
+
     def test_rhs_independent_of_engine_small(self):
         # brute-force recomputation of the right side over an explicit box
         n, H, D, mode = 3, 2, 3, MONIC
@@ -308,7 +319,6 @@ class TestCountAnBox:
         res = count_an_box(2, 1, monic=True)
         assert res.count == 3
         assert res.degenerate == 1  # x^2 alone
-        assert count_an_box(2, 1, monic=True, include_degenerate=True).count == 4
 
     def test_weighted_below_count(self):
         res = count_an_box(3, 6, monic=True)
