@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _ints
 from .charsum import SmoothWeight
-from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks
+from .errors import BudgetExceededError
+from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, _ldisc_bound_sq
 # rebound here too by perfbench/tracing.py, which raises if either is missing
 from .zpoly import discriminant, disc_values_monic3  # noqa: F401
 
@@ -58,10 +59,20 @@ class DiscSequence:
     def divisible_mass(self, d: int) -> float:
         if d == 1:
             return self.total_mass
-        return float(self.masses[self.ms % d == 0].sum())
+        # int64 division by a scalar is much cheaper than the remainder
+        return float(self.masses[self.ms // d * d == self.ms].sum())
 
     def items(self):
         return zip(self.ms.tolist(), self.masses.tolist())
+
+
+def _disc_abs_bound(n: int, R: int) -> int:
+    """Upper bound on |Disc| over the monic height-R box: the sum of the
+    cubic closed form's |terms| at a = 1 for n = 3, Hadamard's bound on
+    |LDisc| = |Disc| otherwise."""
+    if n == 3:
+        return 5 * R ** 4 + 22 * R ** 3 + 27 * R ** 2
+    return math.isqrt(_ldisc_bound_sq(n, R, True)) + 1
 
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
@@ -69,42 +80,63 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
     """Exact-discriminant histogram with smooth weights phi(f/H) over the
     monic lattice, truncated where the Gaussian falls below machine
-    precision (override with an explicit radius for hard boxes)."""
+    precision (override with an explicit radius for hard boxes).
+
+    Each nonzero |Disc| is packed with its enumeration slot into one int64
+    key, |Disc| << shift | slot, and the keys are sorted in place.  Keys
+    are distinct, so equal |Disc| stay in enumeration order and their
+    masses add up in that order.  Domain: max |Disc| < 2^(63 - shift),
+    checked on `_disc_abs_bound` before any allocation; a box outside it
+    is refused with BudgetExceededError."""
     if n < 2:
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
     blocks = _disc_blocks(n, R, True, budget)  # refuses before allocating
+    points = (2 * R + 1) ** n
+    shift = (points - 1).bit_length()
+    bound = _disc_abs_bound(n, R)
+    if bound >= 1 << (63 - shift):
+        raise BudgetExceededError(
+            f"degree-{n} box of height {R}: |Disc| may reach {bound}, too large "
+            f"to pack with a {shift}-bit slot into an int64 sort key")
     # one output slot per box point, filled block by block: two large
     # arrays that are freed whole, where a list of per-block arrays would
     # leave the allocator's heap fragmented and resident
-    points = (2 * R + 1) ** n
-    vals = np.empty(points, dtype=np.int64)
+    keys = np.empty(points, dtype=np.int64)
     masses = np.empty(points)
     k = 0
     zero_mass = 0.0
     # every coordinate lies in [-R, R]: one profile entry per integer value
     profile = phi.coord_profile(np.arange(-R, R + 1) / H)
     for coeffs, discs in blocks:
-        w = phi.amplitude * profile[coeffs + R].prod(axis=1)
+        # column by column, in the order a row product would multiply
+        w = profile[coeffs[:, 0] + R]
+        for j in range(1, coeffs.shape[1]):
+            w *= profile[coeffs[:, j] + R]
+        w *= phi.amplitude
         live = discs != 0
         zero_mass += float(w[~live].sum())
         m = int(np.count_nonzero(live))
-        np.abs(discs[live], out=vals[k:k + m])
+        out = keys[k:k + m]
+        np.abs(discs[live], out=out)
+        out <<= shift
+        out |= np.arange(k, k + m)
         masses[k:k + m] = w[live]
         k += m
-    # one stable sort keeps equal |Disc| in enumeration order; each
-    # unsorted array is released as soon as its permuted copy exists
-    vals, masses = vals[:k], masses[:k]
-    if not vals.size:
-        return DiscSequence(n, H, phi, R, vals, masses, zero_mass)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    masses = masses[order]
-    del order
+    keys, masses = keys[:k], masses[:k]
+    if not k:
+        return DiscSequence(n, H, phi, R, keys, masses, zero_mass)
+    keys.sort()
+    # at most three point-sized arrays alive at once: keys, masses and
+    # either the unpacked |Disc| or the permuted masses
+    vals = keys >> shift
     starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-    return DiscSequence(n, H, phi, R, vals[starts],
-                        np.add.reduceat(masses, starts), zero_mass)
+    ms = vals[starts]
+    del vals
+    keys &= (1 << shift) - 1
+    masses = masses[keys]
+    return DiscSequence(n, H, phi, R, ms, np.add.reduceat(masses, starts), zero_mass)
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,14 @@ class SmoothWeight:
         """Scaled so the minimum over [-1, 1]^dim (at the corners) is 1."""
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        return cls(sigma, math.exp(math.pi * dim / sigma ** 2))
+        try:
+            amplitude = math.exp(math.pi * dim / sigma ** 2)
+        except (OverflowError, ZeroDivisionError):  # sigma^2 may underflow to 0
+            amplitude = math.inf
+        if amplitude == math.inf:
+            raise ValueError(f"sigma {sigma} is too small: the box calibration "
+                             f"exp(pi*{dim}/sigma^2) overflows a float")
+        return cls(sigma, amplitude)
 
     def value(self, xs: Sequence[float]) -> float:
         s = sum(float(x) ** 2 for x in xs)

@@ -16,7 +16,9 @@ import pytest
 from polysieve._ints import INT64_MR_LIMIT, is_squarefree, omega, omega_batch
 from polysieve.charsum import SmoothWeight
 from polysieve.errors import BudgetExceededError
+from polysieve import zpoly
 from polysieve.almostprime import (
+    _disc_abs_bound,
     admissibility,
     build_disc_sequence,
     count_almost_prime,
@@ -26,7 +28,7 @@ from polysieve.almostprime import (
     min_admissible_r,
     multiplicity_bound,
 )
-from polysieve.zpoly import discriminant, enumerate_box, square_disc_scan
+from polysieve.zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, discriminant, enumerate_box, square_disc_scan
 
 
 class TestDiscSequence:
@@ -64,11 +66,66 @@ class TestDiscSequence:
         assert abs(seq.total_mass - direct) < 1e-9 * max(1.0, direct)
         assert abs(seq.zero_mass - zero_direct) < 1e-12
 
-    def test_support_bound(self):
-        seq = build_disc_sequence(3, 20)
-        # |Disc| <= 54 R^4 over the truncated box, and R <= 3.5 sigma H + 2
-        assert seq.max_m <= 54 * seq.radius ** 4
+    def test_support_bound(self, seq):
+        # |Disc| <= 5R^4 + 22R^3 + 27R^2 over the truncated box (H = 20),
+        # and R <= 3.5 sigma H + 2
+        assert seq.max_m <= _disc_abs_bound(3, seq.radius)
         assert seq.radius <= 3.5 * 20 + 2
+
+    def test_cubic_term_bound_covers_box(self):
+        # the sum of the closed form's |terms| bounds the exhaustive maximum
+        for R in range(9):
+            top = max((abs(discriminant(f)) for f in enumerate_box(3, R, True, None)),
+                      default=0)
+            assert top <= _disc_abs_bound(3, R), R
+        # R = 104, the H = 30 box
+        top = max(int(np.abs(discs).max()) for _c, discs in _disc_blocks(3, 104, True, None))
+        assert (top, _disc_abs_bound(3, 104)) == (609_384_256, 609_968_320)
+
+    @pytest.mark.parametrize("n, radius, budget", [(3, 287, None), (9, 1, None),
+                                                   (9, 1, DEFAULT_BOX_BUDGET)])
+    def test_sort_key_domain_refused(self, monkeypatch, n, radius, budget):
+        # |Disc| << shift | slot must fit in int64: max |Disc| < 2^(63 - shift).
+        # The degree-9 box of height 1 is inside the default budget but not
+        # inside this domain.  Both boxes are refused before any
+        # discriminant or allocation.
+        def fail(*_a, **_k):
+            raise AssertionError("work started before the domain check")
+
+        monkeypatch.setattr(zpoly, "discriminant", fail)
+        monkeypatch.setattr(np, "empty", fail)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            build_disc_sequence(n, 1, radius=radius, budget=budget)
+
+    def test_sort_key_domain_edge(self):
+        # R = 286 is the last monic cubic box inside the domain: 573^3 slots
+        # take 28 bits
+        assert (573 ** 3 - 1).bit_length() == 28
+        assert _disc_abs_bound(3, 286) < 2 ** 35 <= _disc_abs_bound(3, 287)
+
+    @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1)])
+    def test_matches_stable_argsort_oracle(self, n, H, radius):
+        # the histogram as one stable argsort over plain |Disc| builds it,
+        # with the row-product weights: equal |Disc| add up in enumeration
+        # order, so the packed-key sort must agree bit for bit
+        phi = SmoothWeight()
+        seq = build_disc_sequence(n, H, phi, radius=radius)
+        R = seq.radius
+        profile = phi.coord_profile(np.arange(-R, R + 1) / H)
+        vals, masses, zero_mass = [], [], 0.0
+        for coeffs, discs in _disc_blocks(n, R, True, None):
+            w = phi.amplitude * profile[coeffs + R].prod(axis=1)
+            live = discs != 0
+            zero_mass += float(w[~live].sum())
+            vals.append(np.abs(discs[live]))
+            masses.append(w[live])
+        vals, masses = np.concatenate(vals), np.concatenate(masses)
+        order = np.argsort(vals, kind="stable")
+        vals, masses = vals[order], masses[order]
+        starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+        assert np.array_equal(seq.ms, vals[starts])
+        assert np.array_equal(seq.masses, np.add.reduceat(masses, starts))
+        assert seq.zero_mass == zero_mass
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -272,6 +272,18 @@ class TestSmoothWeight:
         assert abs(phi.value((1.0, 1.0, 1.0)) - 1.0) < 1e-12
         assert phi.value((0.0, 0.0, 0.0)) > 1.0
 
+    def test_box_calibration_overflow_refused(self):
+        # exp(x) is finite up to x = log(float max) = 709.7827...: a sigma
+        # whose pi*dim/sigma^2 sits just below it is taken, one just above
+        # it (or one whose square underflows) is a ValueError, not an
+        # OverflowError or an infinite amplitude
+        dim = 3
+        phi = SmoothWeight.box_calibrated(dim, math.sqrt(math.pi * dim / 709.78))
+        assert 1e308 < phi.amplitude < math.inf
+        for sigma in (math.sqrt(math.pi * dim / 709.79), 0.01, 1e-160, 1e-200):
+            with pytest.raises(ValueError, match="overflows"):
+                SmoothWeight.box_calibrated(dim, sigma)
+
     def test_fourier_zero(self):
         phi = SmoothWeight(sigma=2.0, amplitude=3.0)
         assert abs(phi.fourier((0.0, 0.0)) - 3.0 * 4.0) < 1e-12

@@ -312,6 +312,17 @@ class TestUsage:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 
+    def test_sigma_overflow_is_usage_error(self, tmp_path, capsys):
+        # exp(pi*dim/sigma^2) once overflowed into an internal error (exit 4)
+        out = tmp_path / "x"
+        rc = main(["sieve-verify", "--n", "3", "--H", "3", "--D", "1",
+                   "--sigma", "0.01", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: sigma 0.01 is too small")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
