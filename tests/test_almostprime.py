@@ -28,7 +28,13 @@ from polysieve.almostprime import (
     min_admissible_r,
     multiplicity_bound,
 )
-from polysieve.zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, discriminant, enumerate_box, square_disc_scan
+from polysieve.zpoly import (
+    DEFAULT_BOX_BUDGET,
+    _disc_blocks,
+    discriminant,
+    enumerate_box,
+    square_disc_scan,
+)
 
 
 class TestDiscSequence:
