@@ -26,6 +26,17 @@ Weight rules
 ``mobius-half``            (1 + (-1)^(n+1) * mu_{p,n}(f)) / 2, values {0, 1/2, 1}
 ``squarefree-complement``  1 on non-squarefree monic f, else 0 (monic only)
 
+Each monic table polynomial f of degree n >= 1 over F_p, p prime, is
+classified from D = Disc f alone (Pellet 1878, Stickelberger 1897; see
+R. G. Swan, Pacific J. Math. 12 (1962)): f is squarefree exactly when
+p does not divide D, and then mu(f) = (-1)^n * chi(D) with r irreducible
+factors giving chi(D) = (-1)^(n-r).  For odd p, chi is the Legendre
+symbol (D/p), read by Euler's criterion from D mod p (`fppoly._disc_mod_p`).
+At p = 2, chi is read from the exact integer discriminant D of the {0, 1}
+lift: an odd discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8),
+-1 when D = 5 (mod 8).  The distinct-degree split in `fppoly` stays the
+independent oracle for this rule.
+
 A `WeightTable` also wraps any caller-built array of the right shape; its
 rule name is then only a label.
 """
@@ -40,9 +51,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._ints import is_squarefree, prime_factors
+from ._ints import is_prime, is_squarefree, prime_factors
 from .errors import BudgetExceededError
-from .fppoly import FpPoly, _is_squarefree, _mobius, _trim
+from .fppoly import FpPoly, _disc_mod_p, _trim
+from .zpoly import _resultant
 
 GENERAL = "general"
 MONIC = "monic"
@@ -123,6 +135,31 @@ class WeightTable:
         return complex(self.values.mean())
 
 
+def _is_squarefree(coeffs: tuple[int, ...], p: int) -> bool:
+    """Squarefreeness of a monic f (degree >= 1, p prime): p does not
+    divide Disc f."""
+    return _disc_mod_p(coeffs, p) != 0
+
+
+def _mobius(coeffs: tuple[int, ...], p: int) -> int:
+    """Mobius function of a monic f (degree n >= 1, p prime) by
+    Stickelberger's theorem: 0 when p | Disc f, else (-1)^n * chi(Disc f)."""
+    n = len(coeffs) - 1
+    if p == 2:
+        # the exact discriminant of the {0, 1} lift, monic so no division
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        disc = sign * _resultant(coeffs, tuple(i * coeffs[i] for i in range(1, n + 1)))
+        if disc % 2 == 0:
+            return 0
+        chi = 1 if disc % 8 == 1 else -1
+    else:
+        disc = _disc_mod_p(coeffs, p)
+        if disc == 0:
+            return 0
+        chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+    return chi if n % 2 == 0 else -chi
+
+
 def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
     vals = np.empty((p,) * n, dtype=np.float64)
     sign = 1 if n % 2 == 1 else -1
@@ -138,6 +175,8 @@ def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
+    if not is_prime(p):
+        raise ValueError(f"weight tables need a prime modulus, got p={p}")
     size = p ** space_dim(n, mode)
     if size > _TABLE_SIZE_CAP:
         raise BudgetExceededError(
@@ -371,7 +410,8 @@ def contraction_cost(d: int, dim: int) -> int:
 
 def table_build_cost(p: int, n: int) -> int:
     """Modelled cost of classifying the p^n monic polynomials behind one
-    weight table: one distinct-degree split of n^3 * ceil(log2 p) each."""
+    weight table, n^3 * ceil(log2 p) each: an upper bound on one resultant
+    mod p (O(n^2) field operations) plus one Legendre power (O(log p))."""
     return p ** n * n ** 3 * math.ceil(math.log2(p))
 
 

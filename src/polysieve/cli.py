@@ -149,7 +149,7 @@ def cmd_fourier_scan(resolved: dict) -> int:
     for p, n, mode in cells:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
-        # distinct-degree splits of the p^n monic polynomials, then the FFT
+        # classifying the p^n monic polynomials, then the FFT
         cost = (charsum.table_build_cost(p, n)
                 + charsum.fft_cost(p ** charsum.space_dim(n, mode)))
         if cost > resolved["budget"]:

@@ -7,13 +7,17 @@ Representation
 A polynomial a_0 + a_1 x + ... + a_n x^n is a tuple (a_0, ..., a_n) of
 residues in [0, p), lowest degree first, with trailing zeros trimmed; the
 zero polynomial is the empty tuple and has degree None.  `FpPoly` wraps a
-canonical tuple together with its modulus.  The tuple-level helpers
-(prefixed `_`) are the hot path used by the table builders in `charsum`.
+canonical tuple together with its modulus.  The tuple-level helpers are
+prefixed `_`.
 
 Factor degrees are obtained by distinct-degree splitting with iterated
 Frobenius maps (gcds against x^(p^k) - x); full factor recovery is never
 needed, since the Mobius function, the factorization type, and parity only
-depend on how many factors of each degree there are.
+depend on how many factors of each degree there are.  This split is the
+route of the public `FpPoly` API and of `sieve.nu_weight`, and the
+independent oracle in the tests for the weight tables of `charsum`, which
+classify each polynomial from its discriminant instead (`_disc_mod_p`,
+one Euclidean resultant mod p).
 """
 
 from __future__ import annotations
@@ -115,6 +119,27 @@ def _is_squarefree(a: tuple[int, ...], p: int) -> bool:
         # derivative vanished in characteristic p: a is a p-th power
         return False
     return len(_gcd(a, d, p)) == 1
+
+
+def _disc_mod_p(a: tuple[int, ...], p: int) -> int:
+    """Disc(a) mod p for a monic a of degree n >= 1, as
+    (-1)^(n(n-1)/2) * Res(a, a').  The resultant runs Euclid on actual
+    degrees, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
+    with r = f mod g; since a is monic, Res(a, a') = prod a'(alpha), so it
+    stays right when p | n drops the degree of a'."""
+    n = _deg(a)
+    res = -1 if (n * (n - 1) // 2) % 2 else 1
+    f, g = a, _deriv(a, p)
+    while len(g) > 1:
+        r = _mod(f, g, p)
+        if not r:
+            return 0
+        if _deg(f) * _deg(g) % 2:
+            res = -res
+        res = res * pow(g[-1], _deg(f) - _deg(r), p) % p
+        f, g = g, r
+    # Res(f, c) = c^(deg f), and Res(f, 0) = 0
+    return res * pow(g[0], _deg(f), p) % p if g else 0
 
 
 def _ddf(a: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -1,7 +1,9 @@
 """Tests for the finite-group transforms, scans, and Poisson verification.
 
-The direct-summation evaluator `dft_point_direct` is the oracle for the
-CRT product formula; classical one-dimensional Poisson summation for the
+The distinct-degree split in `fppoly` and the Bareiss discriminant in
+`zpoly` are the oracles for the Stickelberger classifier behind every
+weight table; the direct-summation evaluator `dft_point_direct` is the
+oracle for the CRT product formula; classical one-dimensional Poisson summation for the
 Gaussian anchors the lattice checks, a sum over an explicit box checks the
 lattice side, a per-phase loop over `dft_point` checks the dual side, and a
 plain residue-by-residue loop checks the CRT-split contraction both share.
@@ -10,10 +12,13 @@ plain residue-by-residue loop checks the CRT-split contraction both share.
 import itertools
 import math
 import time
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from polysieve import charsum, fppoly
 from polysieve.charsum import (
     GENERAL,
     MONIC,
@@ -37,6 +42,7 @@ from polysieve.charsum import (
 from polysieve._ints import is_squarefree, prime_factors
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import enumerate_fp, is_odd_poly, is_squarefree_fp, mobius_pn
+from polysieve.zpoly import ZPoly, discriminant
 
 
 def parseval_gap(w):
@@ -121,6 +127,86 @@ class TestWeightTables:
             i2 = tuple(c % 2 for c in idx)
             i3 = tuple(c % 3 for c in idx)
             assert vals[idx] == t2[i2] * t3[i3]
+
+
+# every monic polynomial of these (p, n) is classified both ways; the grid
+# holds the derivative-drop cases p | n: (2, even n), (3, 3) and (5, 5)
+CLASSIFIER_GRID = ([(2, n) for n in range(1, 9)]
+                   + [(p, n) for p in (3, 5) for n in range(1, 6)]
+                   + [(7, n) for n in range(1, 5)]
+                   + [(p, n) for p in (11, 13) for n in range(1, 4)])
+TABLE_GRID = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 5)]
+
+
+def monic_polys(p, n):
+    return [v + (1,) for v in itertools.product(range(p), repeat=n)]
+
+
+@lru_cache(maxsize=None)
+def ddf_monic_table(p, n, rule):
+    """The monic weight table built from fppoly's distinct-degree split."""
+    vals = np.empty((p,) * n)
+    for idx in np.ndindex(*vals.shape):
+        a = idx + (1,)
+        if rule == "mobius-half":
+            vals[idx] = (1 + (-1) ** (n + 1) * fppoly._mobius(a, p)) / 2
+        else:
+            vals[idx] = 0.0 if fppoly._is_squarefree(a, p) else 1.0
+    return vals
+
+
+def ddf_general_table(p, n):
+    """General mode from the DDF monic table: a degree drop gives 1/2 and
+    any other f takes the value of its monic multiple."""
+    mon = ddf_monic_table(p, n, "mobius-half")
+    vals = np.empty((p,) * (n + 1))
+    for idx in np.ndindex(*vals.shape):
+        vals[idx] = 0.5 if idx[-1] == 0 else mon[fppoly._monic(idx, p)[:n]]
+    return vals
+
+
+def built_table(p, n, mode, rule):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mobius-half warns below n = 3
+        return weight_table(p, n, mode, rule).values
+
+
+class TestStickelbergerClassifier:
+    @pytest.mark.parametrize("p,n", CLASSIFIER_GRID)
+    def test_matches_distinct_degree_split(self, p, n):
+        for a in monic_polys(p, n):
+            assert charsum._mobius(a, p) == fppoly._mobius(a, p), a
+            assert charsum._is_squarefree(a, p) == fppoly._is_squarefree(a, p), a
+
+    @pytest.mark.parametrize("p,n", CLASSIFIER_GRID)
+    def test_disc_mod_p_matches_bareiss(self, p, n):
+        for a in monic_polys(p, n):
+            assert fppoly._disc_mod_p(a, p) == discriminant(ZPoly.from_coeffs(a)) % p, a
+
+    @pytest.mark.parametrize("p,n", TABLE_GRID)
+    def test_tables_match_ddf(self, p, n):
+        assert np.array_equal(built_table(p, n, MONIC, "mobius-half"),
+                              ddf_monic_table(p, n, "mobius-half"))
+        assert np.array_equal(built_table(p, n, GENERAL, "mobius-half"),
+                              ddf_general_table(p, n))
+        if n >= 2:
+            assert np.array_equal(built_table(p, n, MONIC, "squarefree-complement"),
+                                  ddf_monic_table(p, n, "squarefree-complement"))
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in TABLE_GRID if n >= 2])
+    def test_build_invariants(self, p, n):
+        # Carlitz: p^n - p^(n-1) squarefree monic polynomials of degree n
+        sqf = built_table(p, n, MONIC, "squarefree-complement")
+        assert int((sqf == 0.0).sum()) == p ** n - p ** (n - 1)
+        # sum of mu over monic degree n vanishes: mu = (-1)^(n+1) (2 psi - 1)
+        psi = built_table(p, n, MONIC, "mobius-half")
+        assert int((2 * psi - 1).sum()) == 0
+        assert int((psi == 0.5).sum()) == p ** (n - 1)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9])
+    def test_non_prime_modulus_refused(self, p):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            weight_table(p, 3, MONIC, "mobius-half")
 
 
 class TestDft:

@@ -61,7 +61,7 @@ class TestFourierScan:
         assert rc == 3
 
     def test_budget_charges_transform_cost(self, tmp_path):
-        # building the table splits 343 cubics at 3^3 * ceil(log2 7) each
+        # building the table classifies 343 cubics at 3^3 * ceil(log2 7) each
         # (27,783); transforming it costs 343 * ceil(log2 343) = 3087
         argv = ["fourier-scan", "--p", "7", "--n", "3", "--out", str(tmp_path / "x.csv")]
         assert main(argv + ["--budget", "30870"]) == 0
@@ -98,6 +98,16 @@ class TestFourierScan:
         _, body_a = read_csv(a)
         _, body_b = read_csv(b)
         assert body_a == body_b
+
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_modulus_is_usage_error(self, tmp_path, capsys, p):
+        rc = main(["fourier-scan", "--p", p, "--n", "3",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert f"p={p}" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSieveVerify:
