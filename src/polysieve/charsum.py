@@ -29,10 +29,10 @@ Weight rules
 Each monic table polynomial f of degree n >= 1 over F_p, p prime, is
 classified from D = Disc f alone (Pellet 1878, Stickelberger 1897; see
 R. G. Swan, Pacific J. Math. 12 (1962)): f is squarefree exactly when
-p does not divide D, and then mu(f) = (-1)^n * chi(D) with r irreducible
-factors giving chi(D) = (-1)^(n-r).  For odd p, chi is the Legendre
-symbol (D/p), read by Euler's criterion from D mod p (`fppoly._disc_mod_p`).
-At p = 2, chi is read from the exact integer discriminant D of the {0, 1}
+p does not divide D, and then a product of r irreducible factors has
+chi(D) = (-1)^(n-r), so mu(f) = (-1)^n * chi(D).  For odd p, chi is the
+Legendre symbol (D/p), read by Euler's criterion from D mod p
+(`fppoly._disc_mod_p`).  At p = 2, chi is read from the exact integer discriminant D of the {0, 1}
 lift: an odd discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8),
 -1 when D = 5 (mod 8).  The distinct-degree split in `fppoly` stays the
 independent oracle for this rule.
