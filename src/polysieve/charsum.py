@@ -32,10 +32,11 @@ R. G. Swan, Pacific J. Math. 12 (1962)): f is squarefree exactly when
 p does not divide D, and then a product of r irreducible factors has
 chi(D) = (-1)^(n-r), so mu(f) = (-1)^n * chi(D).  For odd p, chi is the
 Legendre symbol (D/p), read by Euler's criterion from D mod p
-(`fppoly._disc_mod_p`).  At p = 2, chi is read from the exact integer discriminant D of the {0, 1}
-lift: an odd discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8),
--1 when D = 5 (mod 8).  The distinct-degree split in `fppoly` stays the
-independent oracle for this rule.
+(`fppoly._disc_mod_p`).  At p = 2, chi is read from the exact integer
+discriminant D of the {0, 1} lift: an odd discriminant is 1 mod 4, and
+chi = +1 when D = 1 (mod 8), -1 when D = 5 (mod 8).  `_chi` is that one
+character, shared with `sieve.nu_weight`; the distinct-degree split in
+`fppoly` stays the independent oracle for it.
 
 A `WeightTable` also wraps any caller-built array of the right shape; its
 rule name is then only a label.
@@ -54,7 +55,7 @@ import numpy as np
 from ._ints import is_prime, is_squarefree, prime_factors
 from .errors import BudgetExceededError
 from .fppoly import FpPoly, _disc_mod_p, _trim
-from .zpoly import _resultant
+from .zpoly import _disc
 
 GENERAL = "general"
 MONIC = "monic"
@@ -141,22 +142,25 @@ def _is_squarefree(coeffs: tuple[int, ...], p: int) -> bool:
     return _disc_mod_p(coeffs, p) != 0
 
 
+def _chi(disc: int, p: int) -> int:
+    """Quadratic character chi_p of a discriminant: 0 when p | disc, else
+    the Legendre symbol (disc/p) by Euler's criterion for odd p.  At p = 2,
+    disc must be an exact integer discriminant (an odd one is 1 mod 4):
+    +1 when disc = 1 (mod 8), -1 when disc = 5 (mod 8)."""
+    if disc % p == 0:
+        return 0
+    if p == 2:
+        return 1 if disc % 8 == 1 else -1
+    return 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+
+
 def _mobius(coeffs: tuple[int, ...], p: int) -> int:
     """Mobius function of a monic f (degree n >= 1, p prime) by
-    Stickelberger's theorem: 0 when p | Disc f, else (-1)^n * chi(Disc f)."""
+    Stickelberger's theorem: (-1)^n * chi_p(Disc f), which is 0 when
+    p | Disc f.  At p = 2 the discriminant is the exact one of the
+    {0, 1} lift."""
     n = len(coeffs) - 1
-    if p == 2:
-        # the exact discriminant of the {0, 1} lift, monic so no division
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        disc = sign * _resultant(coeffs, tuple(i * coeffs[i] for i in range(1, n + 1)))
-        if disc % 2 == 0:
-            return 0
-        chi = 1 if disc % 8 == 1 else -1
-    else:
-        disc = _disc_mod_p(coeffs, p)
-        if disc == 0:
-            return 0
-        chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+    chi = _chi(_disc(coeffs) if p == 2 else _disc_mod_p(coeffs, p), p)
     return chi if n % 2 == 0 else -chi
 
 

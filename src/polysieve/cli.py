@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__, almostprime, charsum, sieve
+from ._ints import is_prime
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 2_000_000_000
@@ -149,6 +150,8 @@ def cmd_fourier_scan(resolved: dict) -> int:
     for p, n, mode in cells:
         if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
             raise _Usage("the squarefree rule is monic-only")
+        if not is_prime(p):  # the price below takes log2(p)
+            raise _Usage(f"weight tables need a prime modulus, got p={p}")
         # classifying the p^n monic polynomials, then the FFT
         cost = (charsum.table_build_cost(p, n)
                 + charsum.fft_cost(p ** charsum.space_dim(n, mode)))

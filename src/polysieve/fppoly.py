@@ -14,10 +14,10 @@ Factor degrees are obtained by distinct-degree splitting with iterated
 Frobenius maps (gcds against x^(p^k) - x); full factor recovery is never
 needed, since the Mobius function, the factorization type, and parity only
 depend on how many factors of each degree there are.  This split is the
-route of the public `FpPoly` API and of `sieve.nu_weight`, and the
-independent oracle in the tests for the weight tables of `charsum`, which
-classify each polynomial from its discriminant instead (`_disc_mod_p`,
-one Euclidean resultant mod p).
+route of the public `FpPoly` API and the independent oracle in the tests
+for the local weights: the weight tables of `charsum` and
+`sieve.nu_weight` classify each polynomial from its discriminant instead
+(`_disc_mod_p`, one Euclidean resultant mod p, and `charsum._chi`).
 """
 
 from __future__ import annotations

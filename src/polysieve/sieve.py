@@ -6,7 +6,10 @@ Mobius inversion gives lambda_d = mu(d) tau(d) sum_{d | e <= D} mu(e) xi_e,
 normalized so lambda_1 = 1.  All weight arithmetic is exact rational.
 
 For a lattice polynomial f the local factor at p is
-nu_p(f) = (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 in {0, 1/2, 1}, and the
+nu_p(f) = (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 in {0, 1/2, 1}.  By
+Stickelberger's theorem it is read off the exact discriminant: 1/2 unless
+f mod p has degree exactly n, else (1 - chi_p(Disc f)) / 2 with chi_p the
+quadratic character of `charsum._chi` (the one the weight tables use).  The
 quadratic form Q_f contracts lambda against the products of nu_p over the
 primes of lcm(d1, d2).  Q_f is positive semidefinite because its extended
 Gram matrix is a tensor product of 2x2 blocks [[1, nu], [nu, nu]], each PSD;
@@ -31,16 +34,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import _ints
-from .charsum import (MONIC, SmoothWeight, contraction_cost, lattice_weight_sum, space_dim,
-                      table_build_cost)
+from .charsum import (MONIC, SmoothWeight, _chi, contraction_cost, lattice_weight_sum,
+                      space_dim, table_build_cost)
 from .errors import BudgetExceededError, SieveInequalityError
-from .fppoly import mobius_pn
-from .zpoly import ZPoly, box_cost, reduce_mod, square_disc_scan
+from .zpoly import ZPoly, _disc, box_cost, square_disc_scan
 
 MARGIN_TOLERANCE = 1e-9
 DEFAULT_VERIFY_BUDGET = 500_000_000
-
-lcm = math.lcm
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +89,16 @@ def diagonalization_sum(weights: SieveWeights) -> Fraction:
 
 
 def nu_weight(f: ZPoly, p: int, n: int) -> Fraction:
-    """Local factor (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2."""
-    sign = 1 if n % 2 == 1 else -1
-    return Fraction(1 + sign * mobius_pn(reduce_mod(f, p), n), 2)
+    """Local factor (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 for a prime p:
+    1/2 unless f mod p has degree exactly n, else (1 - chi_p(Disc g)) / 2
+    with g = a_0 + ... + a_n x^n, the same polynomial mod p.  The symbol
+    is that of Disc, not LDisc: the two differ when a_n is a non-residue."""
+    if n < 1 or not _ints.is_prime(p):
+        raise ValueError(f"need a target degree n >= 1 and a prime p, got n={n}, p={p}")
+    c = f.coeffs
+    if len(c) <= n or c[n] % p == 0 or any(a % p for a in c[n + 1:]):
+        return Fraction(1, 2)
+    return Fraction(1 - _chi(_disc(c[:n + 1]), p), 2)
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ def pair_weights(weights: SieveWeights) -> dict[int, Fraction]:
     out: dict[int, Fraction] = defaultdict(Fraction)
     for d1, l1 in weights.lam.items():
         for d2, l2 in weights.lam.items():
-            out[lcm(d1, d2)] += l1 * l2
+            out[math.lcm(d1, d2)] += l1 * l2
     return dict(sorted(out.items()))
 
 

@@ -1,6 +1,6 @@
-"""Integer polynomials: exact discriminants, reductions mod p, the
-square-discriminant test for Galois group inside the alternating group,
-height-box enumeration, and the 2^omega divisor identity.
+"""Integer polynomials: exact discriminants, the square-discriminant test
+for Galois group inside the alternating group, height-box enumeration, and
+the 2^omega divisor identity.
 
 Discriminants are computed as (-1)^(n(n-1)/2) * Res(f, f') / a_n with the
 resultant taken as a fraction-free (Bareiss) determinant of the Sylvester
@@ -26,11 +26,8 @@ import numpy as np
 
 from . import _ints
 from .errors import BudgetExceededError
-from .fppoly import FpPoly, fp_normalize
 
 DEFAULT_BOX_BUDGET = 100_000_000
-
-lcm = math.lcm
 
 
 @dataclass(frozen=True)
@@ -120,22 +117,27 @@ def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
     return _bareiss_det(rows)
 
 
+def _disc(coeffs: Sequence[int]) -> int:
+    """Exact discriminant of a_0 + ... + a_n x^n (n >= 1, a_n != 0):
+    (-1)^(n(n-1)/2) * Res(f, f') / a_n."""
+    n = len(coeffs) - 1
+    if n == 1:
+        return 1
+    deriv = tuple(i * coeffs[i] for i in range(1, n + 1))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    quot, rem = divmod(sign * _resultant(coeffs, deriv), coeffs[-1])
+    if rem:
+        raise ArithmeticError("resultant not divisible by leading coefficient")
+    return quot
+
+
 def discriminant(f: ZPoly) -> int:
     """Exact polynomial discriminant; requires a_n != 0."""
     if f.leading == 0:
         raise ValueError("discriminant requires a nonzero leading coefficient")
-    n = f.n
-    if n < 1:
+    if f.n < 1:
         raise ValueError("discriminant requires degree >= 1")
-    if n == 1:
-        return 1
-    deriv = tuple(i * f.coeffs[i] for i in range(1, n + 1))
-    res = _resultant(f.coeffs, deriv)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quot, rem = divmod(sign * res, f.leading)
-    if rem:
-        raise ArithmeticError("resultant not divisible by leading coefficient")
-    return quot
+    return _disc(f.coeffs)
 
 
 def ldisc(f: ZPoly) -> int:
@@ -147,11 +149,6 @@ def disc_report(f: ZPoly) -> DiscReport:
     d = discriminant(f)
     ld = f.leading * d
     return DiscReport(d, ld, _ints.omega(ld) if ld != 0 else None)
-
-
-def reduce_mod(f: ZPoly, p: int) -> FpPoly:
-    """Coefficient-wise reduction; the degree drops when p divides a_n."""
-    return fp_normalize(f.coeffs, p)
 
 
 def gal_in_an(f: ZPoly) -> bool:
@@ -197,7 +194,7 @@ def tau_mu_sqfree(d1: int, d2: int) -> TauOmegaIdentity:
     squarefree positive d1, d2; they must agree."""
     if d1 < 1 or d2 < 1 or not _ints.is_squarefree(d1) or not _ints.is_squarefree(d2):
         raise ValueError("inputs must be squarefree positive integers")
-    left = 2 ** _ints.omega(lcm(d1, d2)) if lcm(d1, d2) > 1 else 1
+    left = 2 ** _ints.omega(math.lcm(d1, d2))
     num = _ints.tau(d1) * _ints.tau(d2)
     den = _ints.tau(math.gcd(d1, d2))
     if num % den:

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -99,7 +103,7 @@ class TestFourierScan:
         _, body_b = read_csv(b)
         assert body_a == body_b
 
-    @pytest.mark.parametrize("p", ["1", "4"])
+    @pytest.mark.parametrize("p", ["1", "4", "0", "-3"])
     def test_non_prime_modulus_is_usage_error(self, tmp_path, capsys, p):
         rc = main(["fourier-scan", "--p", p, "--n", "3",
                    "--out", str(tmp_path / "x.csv")])
@@ -287,6 +291,22 @@ class TestConfigFile:
 
 
 class TestUsage:
+    def test_import_loads_only_the_version(self):
+        # a fresh interpreter: the package import pulls in neither numpy
+        # nor any submodule, and the entry point still reports the version
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, polysieve; print(polysieve.__version__); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'numpy' or m.startswith('polysieve.')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["0.1.0", "[]"]
+        out = subprocess.run([sys.executable, "-m", "polysieve", "--version"], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "polysieve 0.1.0\n"
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["fourier-scan", "--bogus", "1"])

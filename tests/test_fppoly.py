@@ -82,6 +82,13 @@ class TestNormalize:
         f = fp_normalize([0, 0], 5)
         assert f.is_zero and f.degree is None
 
+    def test_degree_drop(self):
+        # p | a_n: the reduction of an integer cubic has degree 1
+        assert fp_normalize([1, 1, 0, 3], 3).coeffs == (1, 1)
+
+    def test_constant_kill(self):
+        assert fp_normalize([5, 0, 1], 5).coeffs == (0, 0, 1)
+
     def test_trailing_trim(self):
         f = fp_normalize([1, 0, 0, 4, 0], 7)
         assert f.coeffs == (1, 0, 0, 4)

@@ -2,8 +2,10 @@
 upper-bound inequality.
 
 Oracles: a second, independent evaluation of the weight formulas in exact
-rationals; hand enumeration of the 9-polynomial quadratic box; eigenvalue
-checks of assembled Gram matrices.
+rationals; the local factor nu_p by the distinct-degree split of f mod p
+(`ddf_nu`), which shares no code with the discriminant rule of
+`nu_weight` or of the weight tables; hand enumeration of the
+9-polynomial quadratic box; eigenvalue checks of assembled Gram matrices.
 """
 
 import math
@@ -24,6 +26,7 @@ from polysieve.charsum import (
     weight_table,
 )
 from polysieve.errors import BudgetExceededError
+from polysieve.fppoly import fp_normalize, is_odd_poly, mobius_pn
 from polysieve.sieve import (
     AnBoxCount,
     LocalMatrix,
@@ -39,7 +42,13 @@ from polysieve.sieve import (
     selberg_weights,
     verify_modified_selberg,
 )
-from polysieve.zpoly import ZPoly, discriminant, gal_in_an, ldisc
+from polysieve.zpoly import ZPoly, discriminant, enumerate_box, gal_in_an, ldisc
+
+
+def ddf_nu(f: ZPoly, p: int, n: int) -> Fraction:
+    """nu_p(f) = (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 by the
+    distinct-degree split."""
+    return Fraction(1 + (-1) ** (n + 1) * mobius_pn(fp_normalize(f.coeffs, p), n), 2)
 
 
 def formula_lambda(d: int, D: int) -> Fraction:
@@ -104,14 +113,39 @@ class TestNuWeight:
         assert nu_weight(f, 3, 3) == Fraction(1, 2)
 
     def test_odd_reduction_gives_one(self):
-        from polysieve.fppoly import is_odd_poly
-        from polysieve.zpoly import enumerate_box, reduce_mod
-
         for f in enumerate_box(3, 2, monic=True):
-            red = reduce_mod(f, 3)
+            red = fp_normalize(f.coeffs, 3)
             expected = Fraction(1) if (red.degree == 3 and is_odd_poly(red)) else None
             if expected is not None:
                 assert nu_weight(f, 3, 3) == expected
+
+    def test_matches_ddf_oracle_grid(self):
+        # general boxes of degree 2-5 against every target degree n in
+        # {deg-1, deg, deg+1}: degree drops (p | a_n), vanishing and
+        # non-residue discriminants, and p = 2 all occur
+        seen = {"p | a_n": 0, "disc 0": 0, "n != deg": 0}
+        values = {Fraction(0): 0, Fraction(1, 2): 0, Fraction(1): 0}
+        cases = 0
+        for deg, H in ((2, 4), (3, 2), (4, 1), (5, 1)):
+            for f in enumerate_box(deg, H):
+                disc = discriminant(f)
+                for p in (2, 3, 5, 7, 11):
+                    for n in (deg - 1, deg, deg + 1):
+                        nu = nu_weight(f, p, n)
+                        assert nu == ddf_nu(f, p, n), (f.coeffs, p, n)
+                        values[nu] += 1
+                        seen["p | a_n"] += n == deg and f.leading % p == 0
+                        seen["disc 0"] += n == deg and disc == 0
+                        seen["n != deg"] += n != deg
+                        cases += 1
+        assert cases == 26_940
+        assert all(seen.values()) and all(values.values()), (seen, values)
+
+    def test_rejects_bad_prime_or_degree(self):
+        f = ZPoly.from_coeffs([1, -3, 0, 1])
+        for p, n in ((4, 3), (1, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                nu_weight(f, p, n)
 
 
 class TestLocalMatrix:
@@ -140,8 +174,6 @@ class TestQf:
     def test_certificate_small_box(self):
         w4 = selberg_weights(4)
         found = 0
-        from polysieve.zpoly import enumerate_box
-
         for f in enumerate_box(3, 3, monic=True):
             if not gal_in_an(f):
                 continue
@@ -163,7 +195,7 @@ class TestQf:
                     for d2, l2 in w.lam.items():
                         term = l1 * l2
                         for p in set(prime_factors(d1)) | set(prime_factors(d2)):
-                            term *= nu_weight(f, p, 3)
+                            term *= ddf_nu(f, p, 3)
                         want += term
                 assert qf_value(f, w, 3) == want
 
@@ -239,22 +271,22 @@ class TestVerify:
         rep = verify_modified_selberg(n, H, D, mode, phi=phi)
         w = selberg_weights(D)
         R = phi.lattice_radius(H, 1e-16)
-        from polysieve.sieve import lcm, nu_weight
-
-        rhs = 0.0
-        span = range(-R, R + 1)
         from itertools import product as iproduct
 
+        span = range(-R, R + 1)
+        nu = {vec: {p: float(ddf_nu(ZPoly.from_coeffs(list(vec) + [1]), p, n))
+                    for p in (2, 3)}
+              for vec in iproduct(span, repeat=3)}
+        rhs = 0.0
         for d1, l1 in w.lam.items():
             for d2, l2 in w.lam.items():
-                m = lcm(d1, d2)
+                m = math.lcm(d1, d2)
                 primes = [p for p in (2, 3) if m % p == 0]
                 inner = 0.0
-                for vec in iproduct(span, repeat=3):
-                    f = ZPoly.from_coeffs(list(vec) + [1])
+                for vec, nu_f in nu.items():
                     val = phi.value([v / H for v in vec])
                     for p in primes:
-                        val *= float(nu_weight(f, p, n))
+                        val *= nu_f[p]
                     inner += val
                 rhs += float(l1 * l2) * inner
         assert abs(rhs - rep.rhs) < 1e-6 * abs(rep.rhs)
@@ -265,8 +297,6 @@ class TestVerify:
         n, H = 3, 1
         phi = SmoothWeight.box_calibrated(4 if mode == GENERAL else 3)
         rep = verify_modified_selberg(n, H, 1, mode, phi=phi)
-        from polysieve.zpoly import enumerate_box
-
         direct = 0.0
         for f in enumerate_box(n, rep.radius, monic=mode == MONIC):
             d = discriminant(f)
@@ -326,8 +356,6 @@ class TestCountAnBox:
 
     @pytest.mark.parametrize("n,H,monic", [(3, 2, False), (4, 1, False), (3, 3, True)])
     def test_weighted_matches_ldisc_oracle(self, n, H, monic):
-        from polysieve.zpoly import enumerate_box
-
         want = Fraction(0)
         for f in enumerate_box(n, H, monic):
             if gal_in_an(f):
@@ -335,8 +363,6 @@ class TestCountAnBox:
         assert count_an_box(n, H, monic).weighted == want
 
     def test_matches_direct_scan(self):
-        from polysieve.zpoly import enumerate_box
-
         res = count_an_box(3, 4, monic=True)
         direct = sum(1 for f in enumerate_box(3, 4, monic=True) if gal_in_an(f))
         assert res.count == direct

@@ -1,5 +1,5 @@
-"""Tests for integer-polynomial discriminants, reductions, and the
-multiplicative-function helpers.
+"""Tests for integer-polynomial discriminants, the reduction criterion mod
+p, and the multiplicative-function helpers.
 
 Independent oracles: classical closed-form discriminants for degrees 2-4,
 the root-product formula evaluated with numpy roots, and hand enumeration
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from polysieve import zpoly
 from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
 from polysieve.errors import BudgetExceededError
-from polysieve.fppoly import is_squarefree_fp, mobius_pn
+from polysieve.fppoly import fp_normalize, is_squarefree_fp, mobius_pn
 from polysieve.zpoly import (
     DiscReport,
     ZPoly,
@@ -26,7 +26,6 @@ from polysieve.zpoly import (
     enumerate_box,
     gal_in_an,
     ldisc,
-    reduce_mod,
     square_disc_scan,
     tau_mu_sqfree,
 )
@@ -134,13 +133,6 @@ class TestLdisc:
 
 
 class TestReduceMod:
-    def test_degree_drop(self):
-        f = zp(1, 1, 0, 3)
-        assert reduce_mod(f, 3).coeffs == (1, 1)
-
-    def test_constant_kill(self):
-        assert reduce_mod(zp(5, 0, 1), 5).coeffs == (0, 0, 1)
-
     def test_mobius_vanishing_iff_ldisc_divisible(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -151,7 +143,7 @@ class TestReduceMod:
             f = ZPoly.from_coeffs(coeffs + [lead])
             ld = ldisc(f)
             for p in (2, 3, 5, 7):
-                vanished = mobius_pn(reduce_mod(f, p), 3) == 0
+                vanished = mobius_pn(fp_normalize(f.coeffs, p), 3) == 0
                 assert vanished == (ld % p == 0)
 
 
@@ -183,7 +175,7 @@ class TestReductionCriterion:
             for p in (2, 3, 5, 7):
                 if f.leading % p == 0:
                     continue
-                assert (d % p == 0) == (not is_squarefree_fp(reduce_mod(f, p)))
+                assert (d % p == 0) == (not is_squarefree_fp(fp_normalize(f.coeffs, p)))
 
 
 class TestAnObstruction:
@@ -195,7 +187,7 @@ class TestAnObstruction:
         for coeffs, _d in survivors:
             f = ZPoly.from_coeffs(coeffs)
             for p in primes_up_to(50):
-                assert mobius_pn(reduce_mod(f, p), 3) != 1  # (-1)^(n+1) = +1 at n=3
+                assert mobius_pn(fp_normalize(f.coeffs, p), 3) != 1  # (-1)^(n+1) = +1 at n=3
 
 
 class TestEnumerateBox:
