@@ -113,10 +113,6 @@ class LocalMatrix:
         one = Fraction(1)
         return cls(p, ((one, nu), (nu, nu)))
 
-    @classmethod
-    def from_poly(cls, f: ZPoly, p: int, n: int) -> "LocalMatrix":
-        return cls.from_nu(p, nu_weight(f, p, n))
-
     def is_psd(self) -> bool:
         (a, b), (_, c) = self.entries
         return a >= 0 and c >= 0 and a * c - b * b >= 0

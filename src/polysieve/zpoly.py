@@ -2,16 +2,19 @@
 for Galois group inside the alternating group, height-box enumeration, and
 the 2^omega divisor identity.
 
-Discriminants are computed as (-1)^(n(n-1)/2) * Res(f, f') / a_n with the
-resultant taken as a fraction-free (Bareiss) determinant of the Sylvester
-matrix, so every value is an exact integer.
+Discriminants are exact integers.  Degrees 2 to 6 evaluate the generated
+closed forms of `_discforms` (regenerated by tools/gen_discforms.py) in
+Python ints; other degrees compute (-1)^(n(n-1)/2) * Res(f, f') / a_n
+with the resultant taken as a fraction-free (Bareiss) determinant of the
+Sylvester matrix, which the test suite also keeps as the oracle of the
+closed forms.
 
 One enumerator, `_disc_blocks`, evaluates discriminants over a height box
 for every scan: the square-discriminant scan here and the almost-prime
-histogram and counts.  Cubic boxes go through the vectorized int64 closed
-form, cross-checked against the Sylvester route in the test suite; other
-degrees run the Sylvester route in blocks.  Values are int64 and there is
-no Python-integer fallback: a box whose Hadamard bound on |LDisc| reaches
+histogram and counts.  Cubic boxes run the n = 3 closed form vectorized
+over int64 slabs; other degrees walk the box point by point through
+`discriminant`, in blocks.  Values are int64 and there is no
+Python-integer fallback: a box whose Hadamard bound on |LDisc| reaches
 2^63 is refused with BudgetExceededError before any work.
 """
 
@@ -25,6 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _ints
+from ._discforms import DISC, TERMS, disc3
 from .errors import BudgetExceededError
 
 DEFAULT_BOX_BUDGET = 100_000_000
@@ -117,7 +121,7 @@ def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
     return _bareiss_det(rows)
 
 
-def _disc(coeffs: Sequence[int]) -> int:
+def _disc_sylvester(coeffs: Sequence[int]) -> int:
     """Exact discriminant of a_0 + ... + a_n x^n (n >= 1, a_n != 0):
     (-1)^(n(n-1)/2) * Res(f, f') / a_n."""
     n = len(coeffs) - 1
@@ -129,6 +133,14 @@ def _disc(coeffs: Sequence[int]) -> int:
     if rem:
         raise ArithmeticError("resultant not divisible by leading coefficient")
     return quot
+
+
+def _disc(coeffs: Sequence[int]) -> int:
+    """Exact discriminant of a_0 + ... + a_n x^n (n >= 1, a_n != 0) from
+    Python ints: the generated closed form for 2 <= n <= 6, the Sylvester
+    route otherwise."""
+    form = DISC.get(len(coeffs) - 1)
+    return form(*coeffs) if form is not None else _disc_sylvester(coeffs)
 
 
 def discriminant(f: ZPoly) -> int:
@@ -206,18 +218,12 @@ def tau_mu_sqfree(d1: int, d2: int) -> TauOmegaIdentity:
 # discriminants over a box
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4096  # polynomials per block on the Sylvester route
-
-
-def _disc3(a, b, c, d):
-    # a x^3 + b x^2 + c x + d
-    return (18 * a * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2
-            - 4 * a * c ** 3 - 27 * a ** 2 * d ** 2)
+_BLOCK = 4096  # polynomials per block on the point-by-point route
 
 
 def disc_values_monic3(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Vectorized monic-cubic discriminants (int64 inputs)."""
-    return _disc3(1, b, c, d)
+    """Vectorized discriminants of x^3 + b x^2 + c x + d (int64 inputs)."""
+    return disc3(d, c, b, 1)
 
 
 def _ldisc_bound_sq(n: int, R: int, monic: bool) -> int:
@@ -235,22 +241,29 @@ def _box_points(n: int, R: int, monic: bool) -> int:
     return (2 * R + 1) ** n * (1 if monic else 2 * R)
 
 
+def _point_cost(n: int) -> int:
+    """Budget units per box point: 1 on the vectorized cubic route, the
+    number of terms of the closed form for the other n <= 6, and the cost
+    (2n-1)^3 of a Bareiss determinant on the Sylvester matrix beyond."""
+    if n == 3:
+        return 1
+    return len(TERMS[n]) if n in TERMS else (2 * n - 1) ** 3
+
+
 def box_cost(n: int, R: int, monic: bool) -> tuple[int, int]:
     """(points, cost) of the exact discriminants over the height-R box, the
-    charge of every box scan.
+    charge of every box scan: `_point_cost(n)` per point.
 
     Domain: a box whose Hadamard bound on |LDisc| reaches 2^63 is refused
-    (|Disc| <= |LDisc|, and every term of the cubic closed form is smaller
-    still).  Cost: 1 per point on the vectorized cubic route, (2n-1)^3 per
-    point elsewhere, the cost of a Bareiss determinant on the Sylvester
-    matrix."""
+    (|Disc| <= |LDisc|, and every intermediate of the cubic closed form is
+    smaller still)."""
     bound_sq = _ldisc_bound_sq(n, R, monic)
     if bound_sq >= 2 ** 126:
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |LDisc| may reach "
             f"{math.isqrt(bound_sq)}, beyond the int64 range")
     points = _box_points(n, R, monic)
-    return points, points if n == 3 else points * (2 * n - 1) ** 3
+    return points, points * _point_cost(n)
 
 
 def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
@@ -264,10 +277,10 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"box of {points} lattice points costs {cost}, over budget {budget}")
-    return _cubic_blocks(R, monic) if n == 3 else _bareiss_blocks(n, R, monic, points)
+    return _cubic_blocks(R, monic) if n == 3 else _point_blocks(n, R, monic, points)
 
 
-def _bareiss_blocks(n: int, R: int, monic: bool, points: int):
+def _point_blocks(n: int, R: int, monic: bool, points: int):
     dim = n if monic else n + 1
     # flat lists of ints: no per-polynomial object outlives its step, so
     # a block adds nothing for the cyclic garbage collector to scan
@@ -290,7 +303,7 @@ def _cubic_blocks(R: int, monic: bool):
             if monic:
                 disc = disc_values_monic3(np.int64(b), c_grid, d_grid)
             else:
-                disc = _disc3(np.int64(a), np.int64(b), c_grid, d_grid)
+                disc = disc3(d_grid, c_grid, np.int64(b), np.int64(a))
             cols = [d_grid, c_grid, np.full(disc.size, b, dtype=np.int64)]
             if not monic:
                 cols.append(np.full(disc.size, a, dtype=np.int64))

@@ -28,9 +28,11 @@ from polysieve.almostprime import (
     min_admissible_r,
     multiplicity_bound,
 )
+from polysieve._discforms import TERMS
 from polysieve.zpoly import (
     DEFAULT_BOX_BUDGET,
     _disc_blocks,
+    _disc_sylvester,
     discriminant,
     enumerate_box,
     square_disc_scan,
@@ -80,13 +82,23 @@ class TestDiscSequence:
 
     def test_cubic_term_bound_covers_box(self):
         # the sum of the closed form's |terms| bounds the exhaustive maximum
+        # of the Sylvester route, independent of the closed form
         for R in range(9):
-            top = max((abs(discriminant(f)) for f in enumerate_box(3, R, True, None)),
-                      default=0)
+            top = max((abs(_disc_sylvester(f.coeffs))
+                       for f in enumerate_box(3, R, True, None)), default=0)
             assert top <= _disc_abs_bound(3, R), R
         # R = 104, the H = 30 box
         top = max(int(np.abs(discs).max()) for _c, discs in _disc_blocks(3, 104, True, None))
         assert (top, _disc_abs_bound(3, 104)) == (609_384_256, 609_968_320)
+
+    def test_cubic_bound_is_the_term_table_sum(self):
+        # sum |c| R^deg over the generated n = 3 terms at a_3 = 1 bounds
+        # every intermediate of the Horner nest, so the int64 domain of the
+        # cubic slabs is exactly the one `_disc_abs_bound` checks
+        rows = [[int(v) for v in row.split()] for row in TERMS[3]]  # c e_0 .. e_3
+        for R in range(300):
+            table = sum(abs(c) * R ** (e0 + e1 + e2) for c, e0, e1, e2, _e3 in rows)
+            assert table == _disc_abs_bound(3, R), R
 
     @pytest.mark.parametrize("n, radius, budget", [(3, 287, None), (9, 1, None),
                                                    (9, 1, DEFAULT_BOX_BUDGET)])
@@ -144,25 +156,30 @@ class TestDiscSequence:
             build_disc_sequence(3, 10 ** 4, budget=10 ** 6)
 
     def test_budget_charges_per_point_cost(self):
-        # cubic closed form: 1 per point; other degrees: 7^3 per quartic,
-        # the Bareiss cost on the 7x7 Sylvester matrix
+        # cubic slabs: 1 per point; quartics: the 16 terms of the closed
+        # form; degree 7: 13^3, the Bareiss cost on the 13x13 Sylvester matrix
         build_disc_sequence(3, 1, radius=1, budget=27)
-        build_disc_sequence(4, 1, radius=1, budget=81 * 343)
+        build_disc_sequence(4, 1, radius=1, budget=81 * 16)
         with pytest.raises(BudgetExceededError):
             build_disc_sequence(3, 1, radius=1, budget=26)
         with pytest.raises(BudgetExceededError):
-            build_disc_sequence(4, 1, radius=1, budget=81 * 343 - 1)
+            build_disc_sequence(4, 1, radius=1, budget=81 * 16 - 1)
         with pytest.raises(BudgetExceededError):
-            count_almost_prime(4, 1, 3, budget=81 * 343 - 1)
+            count_almost_prime(4, 1, 3, budget=81 * 16 - 1)
+        with pytest.raises(BudgetExceededError):
+            count_almost_prime(7, 1, 3, budget=3 ** 7 * 13 ** 3 - 1)
         # the square-discriminant scan shares the cost model; a general box
         # has 2R leading coefficients
         square_disc_scan(3, 1, True, budget=27)
-        square_disc_scan(4, 1, True, budget=81 * 343)
+        square_disc_scan(4, 1, True, budget=81 * 16)
+        square_disc_scan(5, 1, False, budget=486 * 59)
         square_disc_scan(3, 1, False, budget=54)
         with pytest.raises(BudgetExceededError):
             square_disc_scan(3, 1, True, budget=26)
         with pytest.raises(BudgetExceededError):
-            square_disc_scan(4, 1, True, budget=81 * 343 - 1)
+            square_disc_scan(4, 1, True, budget=81 * 16 - 1)
+        with pytest.raises(BudgetExceededError):
+            square_disc_scan(5, 1, False, budget=486 * 59 - 1)
         with pytest.raises(BudgetExceededError):
             square_disc_scan(3, 1, False, budget=53)
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from polysieve import cli
-from polysieve.cli import main
+from polysieve import cli, zpoly
+from polysieve.cli import DEFAULT_BUDGET, main
 
 
 def read_csv(path):
@@ -188,11 +188,14 @@ class TestCount:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_almost_prime_bareiss_cost_refused(self, tmp_path, capsys):
-        # 61^4 = 13.8M quartics fit a 2e9 point budget, but at 7^3 per
-        # Bareiss determinant they cost 4.7e9
+    def test_almost_prime_box_cost_refused(self, tmp_path, capsys):
+        # 107^4 = 131M quartics fit the 2e9 default budget as points, but at
+        # the closed form's 16 terms each they cost 2.10e9; one step lower,
+        # H = 52 costs 105^4 * 16 = 1.94e9 and would run
+        assert zpoly.box_cost(4, 53, True)[1] == 107 ** 4 * 16 > DEFAULT_BUDGET
+        assert zpoly.box_cost(4, 52, True)[1] == 105 ** 4 * 16 <= DEFAULT_BUDGET
         started = time.perf_counter()
-        rc = main(["count", "--kind", "almost-prime", "--n", "4", "--H", "30",
+        rc = main(["count", "--kind", "almost-prime", "--n", "4", "--H", "53",
                    "--r", "3", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert time.perf_counter() - started < 1.0

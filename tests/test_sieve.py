@@ -254,10 +254,17 @@ class TestVerify:
         assert weight_table.cache_info().misses == 0
 
     def test_box_refused_before_tables(self):
-        # the quartic box (R = 12) costs 25^4 * 7^3 = 133,984,375 at Bareiss
-        # rates; the degree-11 box may leave int64.  Both refuse before the
-        # right side builds any table.
-        for args, budget, match in (((4, 3, 6), 553_673, "budget"),
+        # (4, 3, 6) monic charges 31,656 for its contractions, 131,392 for
+        # the p = 2, 3, 5 tables and 25^4 * 16 = 6,250,000 for the quartic
+        # box (R = 12) at the closed form's 16 terms per point: one unit
+        # less is refused.  The degree-11 box may leave int64.  Both refuse
+        # before the right side builds any table.
+        phi = SmoothWeight.box_calibrated(4)
+        est = (sum(contraction_cost(m, 4) for m in pair_weights(selberg_weights(6)))
+               + sum(table_build_cost(p, 4) for p in (2, 3, 5)))
+        assert (est, phi.lattice_radius(3, 1e-16)) == (163_048, 12)
+        est += 25 ** 4 * 16
+        for args, budget, match in (((4, 3, 6), est - 1, "budget"),
                                     ((11, 1, 2), None, "int64")):
             weight_table.cache_clear()
             with pytest.raises(BudgetExceededError, match=match):

@@ -2,8 +2,9 @@
 p, and the multiplicative-function helpers.
 
 Independent oracles: classical closed-form discriminants for degrees 2-4,
-the root-product formula evaluated with numpy roots, and hand enumeration
-for the small boxes.
+the root-product formula evaluated with numpy roots, the Sylvester route
+`_disc_sylvester` for every box scan, and hand enumeration for the small
+boxes.
 """
 
 import math
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysieve import zpoly
+from polysieve._discforms import TERMS
 from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.fppoly import fp_normalize, is_squarefree_fp, mobius_pn
 from polysieve.zpoly import (
     DiscReport,
     ZPoly,
+    _disc_sylvester,
     disc_report,
     discriminant,
     enumerate_box,
@@ -106,10 +109,11 @@ class TestDiscriminant:
             checked += 1
 
     def test_quintic_sylvester(self):
-        # degree-5 case exercises the generic Bareiss route; compare with
-        # the root-product oracle numerically
+        # degree 5: the closed form and the Sylvester route agree with each
+        # other and, numerically, with the root-product oracle
         f = zp(2, -1, 0, 3, 0, 1)
         d = discriminant(f)
+        assert d == _disc_sylvester(f.coeffs)
         assert abs(roots_disc(f) - d) < 1e-6 * abs(d)
 
 
@@ -213,7 +217,7 @@ class TestSquareDiscScan:
         slow_survivors = []
         slow_zeros = 0
         for f in enumerate_box(3, 4, monic=True):
-            d = discriminant(f)
+            d = _disc_sylvester(f.coeffs)
             if d == 0:
                 slow_zeros += 1
             elif d > 0 and math.isqrt(d) ** 2 == d:
@@ -223,14 +227,16 @@ class TestSquareDiscScan:
 
     def test_general_fastpath_matches_generic(self):
         fast, zeros_fast = square_disc_scan(3, 2, monic=False)
-        slow = [(f.coeffs, discriminant(f)) for f in enumerate_box(3, 2, monic=False)]
+        slow = [(f.coeffs, _disc_sylvester(f.coeffs)) for f in enumerate_box(3, 2, monic=False)]
         slow_survivors = [(c, d) for c, d in slow if d > 0 and math.isqrt(d) ** 2 == d]
         assert fast == slow_survivors
         assert zeros_fast == sum(1 for _, d in slow if d == 0)
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("n,R,monic", [(2, 2, True), (4, 2, True),
-                                           (2, 1, False), (4, 1, False)])
+                                           (2, 1, False), (4, 1, False),
+                                           (5, 1, True), (6, 1, True),
+                                           (5, 1, False), (6, 1, False)])
     def test_bareiss_blocks_match_enumeration(self, monkeypatch, n, R, monic, block):
         if block:  # many small blocks: order must survive the block seams
             monkeypatch.setattr(zpoly, "_BLOCK", block)
@@ -238,7 +244,7 @@ class TestSquareDiscScan:
         want = []
         want_zeros = 0
         for f in enumerate_box(n, R, monic):
-            d = discriminant(f)
+            d = _disc_sylvester(f.coeffs)
             if d == 0:
                 want_zeros += 1
             elif d > 0 and math.isqrt(d) ** 2 == d:
@@ -259,7 +265,7 @@ class TestDiscDomain:
             first = [f for f, _ in zip(enumerate_box(10, 1, monic), range(16))]
             dim = 10 if monic else 11  # a_10 is free only in the general box
             assert coeffs.tolist() == [list(f.coeffs[:dim]) for f in first]
-            assert discs.tolist() == [discriminant(f) for f in first]
+            assert discs.tolist() == [_disc_sylvester(f.coeffs) for f in first]
 
     def test_degree_eleven_refused_before_work(self, monkeypatch):
         def no_work(*_a, **_k):
@@ -272,8 +278,27 @@ class TestDiscDomain:
 
     @pytest.mark.parametrize("n,R,monic", [(4, 2, True), (3, 2, False)])
     def test_bound_dominates_box_maximum(self, n, R, monic):
-        top = max(abs(ldisc(f)) for f in enumerate_box(n, R, monic))
+        top = max(abs(f.leading * _disc_sylvester(f.coeffs))
+                  for f in enumerate_box(n, R, monic))
         assert 0 < top ** 2 <= zpoly._ldisc_bound_sq(n, R, monic)
+
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_cubic_horner_within_hadamard(self, monic):
+        # every intermediate of the cubic Horner nest is at most
+        # sum |c| R^deg over its terms (a_3 = 1 when monic), which stays
+        # under the Hadamard bound the int64 check reads
+        rows = [[int(v) for v in row.split()] for row in TERMS[3]]  # c e_0 .. e_3
+        for R in range(1, 2000):
+            terms = sum(abs(c) * R ** sum(e[:3] if monic else e) for c, *e in rows)
+            assert terms ** 2 <= zpoly._ldisc_bound_sq(3, R, monic), R
+
+    def test_point_cost(self):
+        # 1 on the cubic slabs, the closed form's terms up to n = 6, a
+        # (2n-1)^3 Bareiss determinant beyond
+        assert [zpoly._point_cost(n) for n in range(1, 9)] == [
+            1, 2, 1, 16, 59, 246, 13 ** 3, 15 ** 3]
+        assert zpoly.box_cost(4, 53, True) == (107 ** 4, 107 ** 4 * 16)
+        assert zpoly.box_cost(7, 1, False) == (3 ** 7 * 2, 3 ** 7 * 2 * 13 ** 3)
 
 
 class TestMultiplicative:
