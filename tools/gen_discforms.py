@@ -91,8 +91,6 @@ def horner(terms: dict[tuple[int, ...], int]) -> str:
         (exps, coef), = terms.items()
         return _monomial(coef, exps)
     occurs = Counter(i for exps in terms for i, e in enumerate(exps) if e)
-    if not occurs:  # only a constant can be left without a variable
-        raise ValueError("repeated monomial in a term table")
     var = min(occurs, key=lambda i: (-occurs[i], i))
     groups: dict[int, dict[tuple[int, ...], int]] = {}
     for exps, coef in terms.items():
