@@ -8,7 +8,7 @@ discriminant counting (a linear sieve driven by the squarefree-complement
 density 1/d).
 
 Importing the package loads only its version; import the modules you use
-(`polysieve.fppoly`, `zpoly`, `charsum`, `sieve`, `almostprime`, `cli`).
+(`polysieve.zpoly`, `charsum`, `sieve`, `almostprime`, `cli`).
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from . import _ints
 from .charsum import SmoothWeight
 from .errors import BudgetExceededError
-from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, _ldisc_bound_sq
+from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, _ldisc_abs_bound
 # rebound here too by perfbench/tracing.py, which raises if either is missing
 from .zpoly import discriminant, disc_values_monic3  # noqa: F401
 
@@ -66,15 +66,6 @@ class DiscSequence:
         return zip(self.ms.tolist(), self.masses.tolist())
 
 
-def _disc_abs_bound(n: int, R: int) -> int:
-    """Upper bound on |Disc| over the monic height-R box: the sum of the
-    cubic closed form's |terms| at a = 1 for n = 3, Hadamard's bound on
-    |LDisc| = |Disc| otherwise."""
-    if n == 3:
-        return 5 * R ** 4 + 22 * R ** 3 + 27 * R ** 2
-    return math.isqrt(_ldisc_bound_sq(n, R, True)) + 1
-
-
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         radius: int | None = None,
                         budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
@@ -86,8 +77,8 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     key, |Disc| << shift | slot, and the keys are sorted in place.  Keys
     are distinct, so equal |Disc| stay in enumeration order and their
     masses add up in that order.  Domain: max |Disc| < 2^(63 - shift),
-    checked on `_disc_abs_bound` before any allocation; a box outside it
-    is refused with BudgetExceededError."""
+    checked on `zpoly._ldisc_abs_bound` before any allocation; a box
+    outside it is refused with BudgetExceededError."""
     if n < 2:
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
@@ -95,7 +86,7 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     blocks = _disc_blocks(n, R, True, budget)  # refuses before allocating
     points = (2 * R + 1) ** n
     shift = (points - 1).bit_length()
-    bound = _disc_abs_bound(n, R)
+    bound = _ldisc_abs_bound(n, R, True)  # |LDisc| = |Disc| when monic
     if bound >= 1 << (63 - shift):
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |Disc| may reach {bound}, too large "

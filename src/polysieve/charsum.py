@@ -32,11 +32,13 @@ R. G. Swan, Pacific J. Math. 12 (1962)): f is squarefree exactly when
 p does not divide D, and then a product of r irreducible factors has
 chi(D) = (-1)^(n-r), so mu(f) = (-1)^n * chi(D).  For odd p, chi is the
 Legendre symbol (D/p), read by Euler's criterion from D mod p
-(`fppoly._disc_mod_p`).  At p = 2, chi is read from the exact integer
-discriminant D of the {0, 1} lift: an odd discriminant is 1 mod 4, and
-chi = +1 when D = 1 (mod 8), -1 when D = 5 (mod 8).  `_chi` is that one
-character, shared with `sieve.nu_weight`; the distinct-degree split in
-`fppoly` stays the independent oracle for it.
+(`_disc_mod_p`, one Euclidean resultant over F_p).  At p = 2, chi is read
+from the exact integer discriminant D of the {0, 1} lift: an odd
+discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8), -1 when
+D = 5 (mod 8).  `_chi` is that one character, shared with
+`sieve.nu_weight`.  The whole rule (`_disc_mod_p`, `_chi`, `_mobius`,
+`_is_squarefree`) lives here; the test suite checks it against an
+independent distinct-degree split.
 
 A `WeightTable` also wraps any caller-built array of the right shape; its
 rule name is then only a label.
@@ -54,7 +56,6 @@ import numpy as np
 
 from ._ints import is_prime, is_squarefree, prime_factors
 from .errors import BudgetExceededError
-from .fppoly import FpPoly, _disc_mod_p, _trim
 from .zpoly import _disc
 
 GENERAL = "general"
@@ -134,6 +135,54 @@ class WeightTable:
 
     def zero_phase(self) -> complex:
         return complex(self.values.mean())
+
+
+def _trim(r: list[int]) -> list[int]:
+    """Drop the trailing zeros of a coefficient list, in place."""
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _rem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """f mod g over F_p for a trimmed nonzero g, trimmed; no quotient is
+    built."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            for j in range(dg):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    del r[dg:]  # each leading entry was cancelled in turn
+    return _trim(r)
+
+
+def _deriv(a: Sequence[int], p: int) -> list[int]:
+    """Formal derivative over F_p, trimmed."""
+    return _trim([i * a[i] % p for i in range(1, len(a))])
+
+
+def _disc_mod_p(a: Sequence[int], p: int) -> int:
+    """Disc(a) mod p for a monic a of degree n >= 1, as
+    (-1)^(n(n-1)/2) * Res(a, a').  The resultant runs Euclid on actual
+    degrees, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
+    with r = f mod g; since a is monic, Res(a, a') = prod a'(alpha), so it
+    stays right when p | n drops the degree of a'."""
+    n = len(a) - 1
+    res = -1 if (n * (n - 1) // 2) % 2 else 1
+    f, g = a, _deriv(a, p)
+    while len(g) > 1:
+        r = _rem(f, g, p)
+        if not r:
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            res = -res
+        res = res * pow(g[-1], len(f) - len(r), p) % p
+        f, g = g, r
+    # Res(f, c) = c^(deg f), and Res(f, 0) = 0
+    return res * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
 def _is_squarefree(coeffs: tuple[int, ...], p: int) -> bool:
@@ -223,8 +272,9 @@ def decay_alpha(rule: str, n: int) -> float:
 # pairing and transforms
 # ---------------------------------------------------------------------------
 
-def pair(f, u: Phase | Sequence[int], d: int | None = None) -> int:
-    """Coefficient pairing <f, u> mod d.
+def pair(f: Sequence[int], u: Phase | Sequence[int], d: int | None = None) -> int:
+    """Coefficient pairing <f, u> mod d for a coefficient sequence f (low
+    to high; trailing zeros are dropped).
 
     A polynomial of degree len(u) whose leading coefficient is 1 is paired
     in monic mode (the leading 1 is dropped); anything of degree < len(u)
@@ -236,7 +286,7 @@ def pair(f, u: Phase | Sequence[int], d: int | None = None) -> int:
         if d is None:
             raise ValueError("a bare component sequence needs an explicit modulus")
         comps = tuple(int(c) % d for c in u)
-    coeffs = f.coeffs if isinstance(f, FpPoly) else _trim(tuple(int(c) for c in f))
+    coeffs = _trim([int(c) for c in f])
     L = len(comps)
     if len(coeffs) == L + 1:
         if coeffs[-1] != 1:

@@ -14,8 +14,8 @@ for every scan: the square-discriminant scan here and the almost-prime
 histogram and counts.  Cubic boxes run the n = 3 closed form vectorized
 over int64 slabs; other degrees walk the box point by point through
 `discriminant`, in blocks.  Values are int64 and there is no
-Python-integer fallback: a box whose Hadamard bound on |LDisc| reaches
-2^63 is refused with BudgetExceededError before any work.
+Python-integer fallback: a box whose bound `_ldisc_abs_bound` on |LDisc|
+reaches 2^63 is refused with BudgetExceededError before any work.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class ZPoly:
             if self.coeffs[i]:
                 return i
         return None
-
-
-@dataclass(frozen=True)
-class DiscReport:
-    disc: int
-    ldisc: int
-    omega_ldisc: int | None
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -157,12 +150,6 @@ def ldisc(f: ZPoly) -> int:
     return f.leading * discriminant(f)
 
 
-def disc_report(f: ZPoly) -> DiscReport:
-    d = discriminant(f)
-    ld = f.leading * d
-    return DiscReport(d, ld, _ints.omega(ld) if ld != 0 else None)
-
-
 def gal_in_an(f: ZPoly) -> bool:
     """Square-discriminant criterion: the Galois group of a separable f acts
     by even permutations exactly when Disc(f) is a nonzero perfect square.
@@ -236,6 +223,22 @@ def _ldisc_bound_sq(n: int, R: int, monic: bool) -> int:
     return f_sq ** (n - 1) * df_sq ** n
 
 
+def _ldisc_abs_bound(n: int, R: int, monic: bool) -> int:
+    """Upper bound on |LDisc f| = |a_n Disc f| over the height-R box.
+
+    For 2 <= n <= 6 it is sum |c| * R^degree over the terms of
+    `_discforms.TERMS[n]` (a_n's exponent dropped when monic), times R in
+    general mode: the bound every intermediate of the Horner nest stays
+    within.  Other degrees take Hadamard's bound, rounded up."""
+    if n not in TERMS:
+        return math.isqrt(_ldisc_bound_sq(n, R, monic)) + 1
+    total = 0
+    for row in TERMS[n]:
+        c, *e = map(int, row.split())
+        total += abs(c) * R ** sum(e[:n] if monic else e)
+    return total if monic else total * R
+
+
 def _box_points(n: int, R: int, monic: bool) -> int:
     """Lattice points of the height-R box: a_n = 1 when monic, else a_n != 0."""
     return (2 * R + 1) ** n * (1 if monic else 2 * R)
@@ -254,14 +257,14 @@ def box_cost(n: int, R: int, monic: bool) -> tuple[int, int]:
     """(points, cost) of the exact discriminants over the height-R box, the
     charge of every box scan: `_point_cost(n)` per point.
 
-    Domain: a box whose Hadamard bound on |LDisc| reaches 2^63 is refused
-    (|Disc| <= |LDisc|, and every intermediate of the cubic closed form is
-    smaller still)."""
-    bound_sq = _ldisc_bound_sq(n, R, monic)
-    if bound_sq >= 2 ** 126:
+    Domain: a box whose `_ldisc_abs_bound` reaches 2^63 is refused
+    (|Disc| <= |LDisc|, and every intermediate of a closed form is
+    within the bound)."""
+    bound = _ldisc_abs_bound(n, R, monic)
+    if bound >= 2 ** 63:
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |LDisc| may reach "
-            f"{math.isqrt(bound_sq)}, beyond the int64 range")
+            f"{bound}, beyond the int64 range")
     points = _box_points(n, R, monic)
     return points, points * _point_cost(n)
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ddf_oracle import FpPoly, is_odd_poly, mobius_pn
 from polysieve import _ints
 from polysieve.charsum import (
     GENERAL,
@@ -26,7 +27,6 @@ from polysieve.charsum import (
     poisson_check,
     weight_table,
 )
-from polysieve.fppoly import FpPoly, is_odd_poly, mobius_pn
 from polysieve.almostprime import (
     build_disc_sequence,
     count_almost_prime,

@@ -18,7 +18,6 @@ from polysieve.charsum import SmoothWeight
 from polysieve.errors import BudgetExceededError
 from polysieve import zpoly
 from polysieve.almostprime import (
-    _disc_abs_bound,
     admissibility,
     build_disc_sequence,
     count_almost_prime,
@@ -33,6 +32,7 @@ from polysieve.zpoly import (
     DEFAULT_BOX_BUDGET,
     _disc_blocks,
     _disc_sylvester,
+    _ldisc_abs_bound,
     discriminant,
     enumerate_box,
     square_disc_scan,
@@ -77,7 +77,7 @@ class TestDiscSequence:
     def test_support_bound(self, seq):
         # |Disc| <= 5R^4 + 22R^3 + 27R^2 over the truncated box (H = 20),
         # and R <= 3.5 sigma H + 2
-        assert seq.max_m <= _disc_abs_bound(3, seq.radius)
+        assert seq.max_m <= _ldisc_abs_bound(3, seq.radius, True)
         assert seq.radius <= 3.5 * 20 + 2
 
     def test_cubic_term_bound_covers_box(self):
@@ -86,19 +86,19 @@ class TestDiscSequence:
         for R in range(9):
             top = max((abs(_disc_sylvester(f.coeffs))
                        for f in enumerate_box(3, R, True, None)), default=0)
-            assert top <= _disc_abs_bound(3, R), R
+            assert top <= _ldisc_abs_bound(3, R, True), R
         # R = 104, the H = 30 box
         top = max(int(np.abs(discs).max()) for _c, discs in _disc_blocks(3, 104, True, None))
-        assert (top, _disc_abs_bound(3, 104)) == (609_384_256, 609_968_320)
+        assert (top, _ldisc_abs_bound(3, 104, True)) == (609_384_256, 609_968_320)
 
     def test_cubic_bound_is_the_term_table_sum(self):
         # sum |c| R^deg over the generated n = 3 terms at a_3 = 1 bounds
         # every intermediate of the Horner nest, so the int64 domain of the
-        # cubic slabs is exactly the one `_disc_abs_bound` checks
+        # cubic slabs is exactly the one `_ldisc_abs_bound` checks
         rows = [[int(v) for v in row.split()] for row in TERMS[3]]  # c e_0 .. e_3
         for R in range(300):
             table = sum(abs(c) * R ** (e0 + e1 + e2) for c, e0, e1, e2, _e3 in rows)
-            assert table == _disc_abs_bound(3, R), R
+            assert table == _ldisc_abs_bound(3, R, True), R
 
     @pytest.mark.parametrize("n, radius, budget", [(3, 287, None), (9, 1, None),
                                                    (9, 1, DEFAULT_BOX_BUDGET)])
@@ -119,7 +119,7 @@ class TestDiscSequence:
         # R = 286 is the last monic cubic box inside the domain: 573^3 slots
         # take 28 bits
         assert (573 ** 3 - 1).bit_length() == 28
-        assert _disc_abs_bound(3, 286) < 2 ** 35 <= _disc_abs_bound(3, 287)
+        assert _ldisc_abs_bound(3, 286, True) < 2 ** 35 <= _ldisc_abs_bound(3, 287, True)
 
     @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1)])
     def test_matches_stable_argsort_oracle(self, n, H, radius):

@@ -1,8 +1,9 @@
 """Tests for the finite-group transforms, scans, and Poisson verification.
 
-The distinct-degree split in `fppoly` and the Bareiss discriminant in
-`zpoly` are the oracles for the Stickelberger classifier behind every
-weight table; the direct-summation evaluator `dft_point_direct` is the
+The distinct-degree split of the test-only `ddf_oracle` module and the
+Bareiss discriminant in `zpoly` are the oracles for the Stickelberger
+classifier behind every weight table (`charsum._disc_mod_p`, `_chi`,
+`_mobius`); the direct-summation evaluator `dft_point_direct` is the
 oracle for the CRT product formula; classical one-dimensional Poisson summation for the
 Gaussian anchors the lattice checks, a sum over an explicit box checks the
 lattice side, a per-phase loop over `dft_point` checks the dual side, and a
@@ -18,7 +19,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from polysieve import charsum, fppoly
+import ddf_oracle
+from ddf_oracle import enumerate_fp, is_odd_poly, is_squarefree_fp, mobius_pn
+from polysieve import charsum
 from polysieve.charsum import (
     GENERAL,
     MONIC,
@@ -41,7 +44,6 @@ from polysieve.charsum import (
 )
 from polysieve._ints import is_squarefree, prime_factors
 from polysieve.errors import BudgetExceededError
-from polysieve.fppoly import enumerate_fp, is_odd_poly, is_squarefree_fp, mobius_pn
 from polysieve.zpoly import _disc_sylvester
 
 
@@ -144,14 +146,14 @@ def monic_polys(p, n):
 
 @lru_cache(maxsize=None)
 def ddf_monic_table(p, n, rule):
-    """The monic weight table built from fppoly's distinct-degree split."""
+    """The monic weight table built from the distinct-degree split."""
     vals = np.empty((p,) * n)
     for idx in np.ndindex(*vals.shape):
         a = idx + (1,)
         if rule == "mobius-half":
-            vals[idx] = (1 + (-1) ** (n + 1) * fppoly._mobius(a, p)) / 2
+            vals[idx] = (1 + (-1) ** (n + 1) * ddf_oracle._mobius(a, p)) / 2
         else:
-            vals[idx] = 0.0 if fppoly._is_squarefree(a, p) else 1.0
+            vals[idx] = 0.0 if ddf_oracle._is_squarefree(a, p) else 1.0
     return vals
 
 
@@ -161,7 +163,7 @@ def ddf_general_table(p, n):
     mon = ddf_monic_table(p, n, "mobius-half")
     vals = np.empty((p,) * (n + 1))
     for idx in np.ndindex(*vals.shape):
-        vals[idx] = 0.5 if idx[-1] == 0 else mon[fppoly._monic(idx, p)[:n]]
+        vals[idx] = 0.5 if idx[-1] == 0 else mon[ddf_oracle._monic(idx, p)[:n]]
     return vals
 
 
@@ -175,13 +177,13 @@ class TestStickelbergerClassifier:
     @pytest.mark.parametrize("p,n", CLASSIFIER_GRID)
     def test_matches_distinct_degree_split(self, p, n):
         for a in monic_polys(p, n):
-            assert charsum._mobius(a, p) == fppoly._mobius(a, p), a
-            assert charsum._is_squarefree(a, p) == fppoly._is_squarefree(a, p), a
+            assert charsum._mobius(a, p) == ddf_oracle._mobius(a, p), a
+            assert charsum._is_squarefree(a, p) == ddf_oracle._is_squarefree(a, p), a
 
     @pytest.mark.parametrize("p,n", CLASSIFIER_GRID)
     def test_disc_mod_p_matches_bareiss(self, p, n):
         for a in monic_polys(p, n):
-            assert fppoly._disc_mod_p(a, p) == _disc_sylvester(a) % p, a
+            assert charsum._disc_mod_p(a, p) == _disc_sylvester(a) % p, a
 
     @pytest.mark.parametrize("p,n", TABLE_GRID)
     def test_tables_match_ddf(self, p, n):

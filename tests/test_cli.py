@@ -309,6 +309,15 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-m", "polysieve", "--version"], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout == "polysieve 0.1.0\n"
+        # the runtime modules pull in no F_p polynomial module, and the
+        # package has none: the distinct-degree split is a test oracle
+        probe = ("import sys, polysieve.cli, polysieve.sieve, polysieve.almostprime\n"
+                 "print([m for m in sys.modules if 'fppoly' in m])\n"
+                 "try:\n    import polysieve.fppoly\n"
+                 "except ModuleNotFoundError:\n    print('gone')\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["[]", "gone"]
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
-"""Unit tests for F_p[x] arithmetic, Mobius values, and parity.
+"""Unit tests for the distinct-degree-split oracle `ddf_oracle`: F_p[x]
+arithmetic, Mobius values, and parity.
 
 Brute-force oracles used here:
   * divisor-search gcd (enumerate all monic divisors of both inputs)
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polysieve.errors import BudgetExceededError
-from polysieve.fppoly import (
+from ddf_oracle import (
     FpPoly,
     distinct_degree_split,
     enumerate_fp,
@@ -26,6 +26,7 @@ from polysieve.fppoly import (
     mobius_pn,
     _mul,
 )
+from polysieve.errors import BudgetExceededError
 
 
 def poly(coeffs, p):
@@ -41,7 +42,7 @@ def all_monic(p, max_deg):
 
 
 def divides(g: FpPoly, f: FpPoly) -> bool:
-    from polysieve.fppoly import _divmod
+    from ddf_oracle import _divmod
 
     if g.is_zero:
         return f.is_zero
@@ -197,7 +198,7 @@ class TestDistinctDegreeSplit:
 
 class TestFactorizationType:
     def brute_factor_degrees(self, f):
-        from polysieve.fppoly import _divmod
+        from ddf_oracle import _divmod
 
         p = f.p
         c = f.coeffs
@@ -278,7 +279,7 @@ class TestMobius:
                     assert mobius_fp(FpPoly(p, h)) == mu[f.coeffs] * mu[g.coeffs]
 
     def test_multiplicative_exhaustive_f5(self):
-        from polysieve.fppoly import _gcd, _mobius
+        from ddf_oracle import _gcd, _mobius
 
         p = 5
         polys = [vec + (c,) for d in range(4)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ddf_oracle import fp_normalize, is_odd_poly, mobius_pn
 from polysieve._ints import mobius, omega, prime_factors, squarefree_up_to, tau
 from polysieve.charsum import (
     GENERAL,
@@ -26,7 +27,6 @@ from polysieve.charsum import (
     weight_table,
 )
 from polysieve.errors import BudgetExceededError
-from polysieve.fppoly import fp_normalize, is_odd_poly, mobius_pn
 from polysieve.sieve import (
     AnBoxCount,
     LocalMatrix,

@@ -15,16 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddf_oracle import fp_normalize, is_squarefree_fp, mobius_pn
 from polysieve import zpoly
 from polysieve._discforms import TERMS
 from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
 from polysieve.errors import BudgetExceededError
-from polysieve.fppoly import fp_normalize, is_squarefree_fp, mobius_pn
 from polysieve.zpoly import (
-    DiscReport,
     ZPoly,
     _disc_sylvester,
-    disc_report,
     discriminant,
     enumerate_box,
     gal_in_an,
@@ -129,11 +127,6 @@ class TestLdisc:
 
     def test_repeated_root_zero(self):
         assert ldisc(zp(2, -3, 0, 1)) == 0
-
-    def test_disc_report(self):
-        rep = disc_report(zp(2, 2, 2))
-        assert rep == DiscReport(-12, -24, 2)
-        assert disc_report(zp(2, -3, 0, 1)).omega_ldisc is None
 
 
 class TestReduceMod:
@@ -283,10 +276,30 @@ class TestDiscDomain:
         assert 0 < top ** 2 <= zpoly._ldisc_bound_sq(n, R, monic)
 
     @pytest.mark.parametrize("monic", [True, False])
+    @pytest.mark.parametrize("n,R", [(2, 5), (3, 3), (4, 2), (5, 1), (6, 1)])
+    def test_term_bound_dominates_box_maximum(self, n, R, monic):
+        # the term-sum bound the int64 domain reads covers the exhaustive
+        # maximum of |a_n Disc| on the Sylvester route
+        top = max(abs(f.leading * _disc_sylvester(f.coeffs))
+                  for f in enumerate_box(n, R, monic))
+        assert 0 < top <= zpoly._ldisc_abs_bound(n, R, monic)
+
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_term_bound_within_hadamard(self, monic):
+        # for 2 <= n <= 6 the term sum replaces Hadamard's bound and is
+        # below it, so no box that Hadamard admits is refused; other
+        # degrees take it, rounded up
+        for n in range(2, 7):
+            for R in list(range(1, 200)) + [10 ** k for k in range(3, 8)]:
+                assert zpoly._ldisc_abs_bound(n, R, monic) ** 2 <= zpoly._ldisc_bound_sq(
+                    n, R, monic), (n, R)
+        assert zpoly._ldisc_abs_bound(10, 1, monic) == math.isqrt(11 ** 9 * 385 ** 10) + 1
+
+    @pytest.mark.parametrize("monic", [True, False])
     def test_cubic_horner_within_hadamard(self, monic):
         # every intermediate of the cubic Horner nest is at most
         # sum |c| R^deg over its terms (a_3 = 1 when monic), which stays
-        # under the Hadamard bound the int64 check reads
+        # under Hadamard's bound
         rows = [[int(v) for v in row.split()] for row in TERMS[3]]  # c e_0 .. e_3
         for R in range(1, 2000):
             terms = sum(abs(c) * R ** sum(e[:3] if monic else e) for c, *e in rows)
