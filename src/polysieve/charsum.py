@@ -31,14 +31,25 @@ classified from D = Disc f alone (Pellet 1878, Stickelberger 1897; see
 R. G. Swan, Pacific J. Math. 12 (1962)): f is squarefree exactly when
 p does not divide D, and then a product of r irreducible factors has
 chi(D) = (-1)^(n-r), so mu(f) = (-1)^n * chi(D).  For odd p, chi is the
-Legendre symbol (D/p), read by Euler's criterion from D mod p
-(`_disc_mod_p`, one Euclidean resultant over F_p).  At p = 2, chi is read
-from the exact integer discriminant D of the {0, 1} lift: an odd
-discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8), -1 when
+Legendre symbol (D/p), read by Euler's criterion from D mod p.  At p = 2,
+chi is read from the exact integer discriminant D of the {0, 1} lift: an
+odd discriminant is 1 mod 4, and chi = +1 when D = 1 (mod 8), -1 when
 D = 5 (mod 8).  `_chi` is that one character, shared with
-`sieve.nu_weight`.  The whole rule (`_disc_mod_p`, `_chi`, `_mobius`,
-`_is_squarefree`) lives here; the test suite checks it against an
-independent distinct-degree split.
+`sieve.nu_weight`.
+
+D comes by degree (`_table_disc`): for n <= 5, and at p = 2 for every n,
+it is the exact discriminant of the monic lift from `zpoly._disc` (the
+generated closed form up to n = 6, Bareiss beyond), which reduces to
+Disc(f mod p) since the discriminant of a monic polynomial is an integer
+polynomial in its coefficients; for odd p and n >= 6 it is
+`_disc_mod_p`, one Euclidean resultant over F_p.  The cutoff is a
+measured crossover, in microseconds per polynomial (4,000 random monic
+polynomials, best of 3, 2 vCPU, Python 3.11), Euclid against the closed
+form: n = 3 3.8-7.6 vs 0.8-0.9, n = 4 8.0-10.9 vs 1.7-2.1, n = 5
+10.9-18.2 vs 8.0-9.0, n = 6 12.2-12.7 vs 31, and at n = 7, where the
+closed form is Bareiss, 145.  The whole rule (`_table_disc`,
+`_disc_mod_p`, `_chi`, `_mobius`, `_is_squarefree`) lives here; the
+test suite checks it against an independent distinct-degree split.
 
 A `WeightTable` also wraps any caller-built array of the right shape; its
 rule name is then only a label.
@@ -185,10 +196,20 @@ def _disc_mod_p(a: Sequence[int], p: int) -> int:
     return res * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
+def _table_disc(coeffs: Sequence[int], p: int) -> int:
+    """An integer congruent to Disc f mod p for a monic f of degree
+    n >= 1: the exact Disc f (`zpoly._disc`) when p = 2 or n <= 5, else
+    `_disc_mod_p`.  n <= 5 is where the closed form beats Euclid (the
+    crossover in the module docstring)."""
+    if p == 2 or len(coeffs) <= 6:
+        return _disc(coeffs)
+    return _disc_mod_p(coeffs, p)
+
+
 def _is_squarefree(coeffs: tuple[int, ...], p: int) -> bool:
     """Squarefreeness of a monic f (degree >= 1, p prime): p does not
-    divide Disc f."""
-    return _disc_mod_p(coeffs, p) != 0
+    divide Disc f, taken by degree from `_table_disc`."""
+    return _table_disc(coeffs, p) % p != 0
 
 
 def _chi(disc: int, p: int) -> int:
@@ -206,10 +227,11 @@ def _chi(disc: int, p: int) -> int:
 def _mobius(coeffs: tuple[int, ...], p: int) -> int:
     """Mobius function of a monic f (degree n >= 1, p prime) by
     Stickelberger's theorem: (-1)^n * chi_p(Disc f), which is 0 when
-    p | Disc f.  At p = 2 the discriminant is the exact one of the
-    {0, 1} lift."""
+    p | Disc f.  Disc f comes by degree from `_table_disc`: exact (at
+    p = 2 that of the {0, 1} lift, as the mod-8 rule needs) for p = 2 or
+    n <= 5, one resultant mod p above."""
     n = len(coeffs) - 1
-    chi = _chi(_disc(coeffs) if p == 2 else _disc_mod_p(coeffs, p), p)
+    chi = _chi(_table_disc(coeffs, p), p)
     return chi if n % 2 == 0 else -chi
 
 
@@ -464,8 +486,10 @@ def contraction_cost(d: int, dim: int) -> int:
 
 def table_build_cost(p: int, n: int) -> int:
     """Modelled cost of classifying the p^n monic polynomials behind one
-    weight table, n^3 * ceil(log2 p) each: an upper bound on one resultant
-    mod p (O(n^2) field operations) plus one Legendre power (O(log p))."""
+    weight table, n^3 * ceil(log2 p) each: an upper bound on one
+    discriminant by `_table_disc` (the closed form's 5 / 16 / 59 terms at
+    n = 3 / 4 / 5, or one resultant mod p, O(n^2) field operations, for
+    n >= 6) plus one Legendre power (O(log p))."""
     return p ** n * n ** 3 * math.ceil(math.log2(p))
 
 

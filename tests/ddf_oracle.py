@@ -15,9 +15,11 @@ Frobenius maps (gcds against x^(p^k) - x); full factor recovery is never
 needed, since the Mobius function, the factorization type, and parity only
 depend on how many factors of each degree there are.  The package never
 takes this route: its weight tables and `sieve.nu_weight` classify each
-polynomial from its discriminant (`charsum._disc_mod_p` and
-`charsum._chi`).  The test suite keeps this split as the independent
-oracle of those local weights and of acceptance criterion 01.
+polynomial from its discriminant and `charsum._chi`, the discriminant
+taken by degree (the generated closed form `zpoly._disc` for n <= 5 and
+at p = 2, the resultant `charsum._disc_mod_p` for odd p and n >= 6).
+The test suite keeps this split as the independent oracle of those local
+weights, on both sides of that crossover, and of acceptance criterion 01.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 The distinct-degree split of the test-only `ddf_oracle` module and the
 Bareiss discriminant in `zpoly` are the oracles for the Stickelberger
-classifier behind every weight table (`charsum._disc_mod_p`, `_chi`,
-`_mobius`); the direct-summation evaluator `dft_point_direct` is the
+classifier behind every weight table (`charsum._chi`, `_mobius`,
+`_is_squarefree`), on both sides of its degree crossover: the generated
+closed form for n <= 5 (and at p = 2), `charsum._disc_mod_p` for odd p
+and n >= 6; the direct-summation evaluator `dft_point_direct` is the
 oracle for the CRT product formula; classical one-dimensional Poisson summation for the
 Gaussian anchors the lattice checks, a sum over an explicit box checks the
 lattice side, a per-phase loop over `dft_point` checks the dual side, and a
@@ -132,12 +134,19 @@ class TestWeightTables:
 
 
 # every monic polynomial of these (p, n) is classified both ways; the grid
-# holds the derivative-drop cases p | n: (2, even n), (3, 3) and (5, 5)
+# holds the derivative-drop cases p | n: (2, even n), (3, 3), (3, 6) and
+# (5, 5), and odd p on both sides of the n = 5 / 6 crossover between the
+# closed-form and the Euclidean discriminant
 CLASSIFIER_GRID = ([(2, n) for n in range(1, 9)]
                    + [(p, n) for p in (3, 5) for n in range(1, 6)]
+                   + [(3, 6), (3, 7)]
                    + [(7, n) for n in range(1, 5)]
                    + [(p, n) for p in (11, 13) for n in range(1, 4)])
 TABLE_GRID = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 5)]
+# (p, n) whose tables the closed form builds alone, with no resultant
+CLOSED_FORM_GRID = ([(2, n) for n in range(1, 9)]
+                    + [(p, n) for p in (3, 5, 7) for n in range(1, 5)]
+                    + [(3, 5), (5, 5)])
 
 
 def monic_polys(p, n):
@@ -145,16 +154,22 @@ def monic_polys(p, n):
 
 
 @lru_cache(maxsize=None)
+def ddf_mobius_table(p, n):
+    """mu(f) from the distinct-degree split for every monic f of degree
+    n; the oracle's mu is 0 exactly when its own squarefree test fails,
+    so one split per polynomial serves both rules."""
+    mu = np.empty((p,) * n, dtype=np.int8)
+    for idx in np.ndindex(*mu.shape):
+        mu[idx] = ddf_oracle._mobius(idx + (1,), p)
+    return mu
+
+
 def ddf_monic_table(p, n, rule):
     """The monic weight table built from the distinct-degree split."""
-    vals = np.empty((p,) * n)
-    for idx in np.ndindex(*vals.shape):
-        a = idx + (1,)
-        if rule == "mobius-half":
-            vals[idx] = (1 + (-1) ** (n + 1) * ddf_oracle._mobius(a, p)) / 2
-        else:
-            vals[idx] = 0.0 if ddf_oracle._is_squarefree(a, p) else 1.0
-    return vals
+    mu = ddf_mobius_table(p, n)
+    if rule == "mobius-half":
+        return (1 + (-1) ** (n + 1) * mu) / 2
+    return (mu == 0).astype(np.float64)
 
 
 def ddf_general_table(p, n):
@@ -194,6 +209,21 @@ class TestStickelbergerClassifier:
         if n >= 2:
             assert np.array_equal(built_table(p, n, MONIC, "squarefree-complement"),
                                   ddf_monic_table(p, n, "squarefree-complement"))
+
+    @pytest.mark.parametrize("rule", ["mobius-half", "squarefree-complement"])
+    def test_table_discriminant_by_degree(self, monkeypatch, rule):
+        # `_monic_table` directly, since `weight_table` is cached: below the
+        # crossover (and at p = 2) no resultant runs, above it no closed form
+        def refuse(*args):
+            raise AssertionError("wrong discriminant route")
+
+        with monkeypatch.context() as m:
+            m.setattr(charsum, "_disc_mod_p", refuse)
+            for p, n in CLOSED_FORM_GRID:
+                assert np.array_equal(charsum._monic_table(p, n, rule),
+                                      ddf_monic_table(p, n, rule)), (p, n)
+        monkeypatch.setattr(charsum, "_disc", refuse)
+        assert np.array_equal(charsum._monic_table(3, 6, rule), ddf_monic_table(3, 6, rule))
 
     @pytest.mark.parametrize("p,n", [(p, n) for p, n in TABLE_GRID if n >= 2])
     def test_build_invariants(self, p, n):
