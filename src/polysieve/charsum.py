@@ -227,9 +227,10 @@ def _chi(disc: int, p: int) -> int:
 def _mobius(coeffs: tuple[int, ...], p: int) -> int:
     """Mobius function of a monic f (degree n >= 1, p prime) by
     Stickelberger's theorem: (-1)^n * chi_p(Disc f), which is 0 when
-    p | Disc f.  Disc f comes by degree from `_table_disc`: exact (at
-    p = 2 that of the {0, 1} lift, as the mod-8 rule needs) for p = 2 or
-    n <= 5, one resultant mod p above."""
+    p | Disc f.  Disc f comes from `_table_disc`: the exact one for
+    n <= 5 and at p = 2 (where the mod-8 rule needs it), one resultant
+    mod p for odd p and n >= 6, by the crossover in the module
+    docstring."""
     n = len(coeffs) - 1
     chi = _chi(_table_disc(coeffs, p), p)
     return chi if n % 2 == 0 else -chi
