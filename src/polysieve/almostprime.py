@@ -62,9 +62,6 @@ class DiscSequence:
         # int64 division by a scalar is much cheaper than the remainder
         return float(self.masses[self.ms // d * d == self.ms].sum())
 
-    def items(self):
-        return zip(self.ms.tolist(), self.masses.tolist())
-
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         radius: int | None = None,

@@ -5,6 +5,8 @@ Conventions
 The space V_n(Z/dZ) of polynomials of degree <= n is identified with
 (Z/dZ)^(n+1) through the coefficient vector (a_0, ..., a_n); its monic
 degree-n slice is identified with (Z/dZ)^n through (a_0, ..., a_{n-1}).
+A polynomial is that coefficient tuple and a phase u is a sequence of
+components mod d, n+1 of them in general mode and n in monic mode.
 The pairing is coefficient-wise, <f, u> = sum a_i u_i, and the transform of
 a weight psi is
 
@@ -92,28 +94,6 @@ def space_dim(n: int, mode: str) -> int:
 
 def _canon_rule(rule: str) -> str:
     return _RULE_ALIASES.get(rule, rule)
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Dual vector mod d: length n+1 in general mode, n in monic mode."""
-
-    d: int
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("modulus must be positive")
-        if any(not 0 <= c < self.d for c in self.components):
-            raise ValueError("phase components must be reduced mod d")
-
-    @classmethod
-    def of(cls, d: int, components: Sequence[int]) -> "Phase":
-        return cls(d, tuple(int(c) % d for c in components))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
 
 
 class WeightTable:
@@ -292,33 +272,8 @@ def decay_alpha(rule: str, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pairing and transforms
+# transforms
 # ---------------------------------------------------------------------------
-
-def pair(f: Sequence[int], u: Phase | Sequence[int], d: int | None = None) -> int:
-    """Coefficient pairing <f, u> mod d for a coefficient sequence f (low
-    to high; trailing zeros are dropped).
-
-    A polynomial of degree len(u) whose leading coefficient is 1 is paired
-    in monic mode (the leading 1 is dropped); anything of degree < len(u)
-    is zero-padded and paired in general mode.
-    """
-    if isinstance(u, Phase):
-        comps, d = u.components, u.d
-    else:
-        if d is None:
-            raise ValueError("a bare component sequence needs an explicit modulus")
-        comps = tuple(int(c) % d for c in u)
-    coeffs = _trim([int(c) for c in f])
-    L = len(comps)
-    if len(coeffs) == L + 1:
-        if coeffs[-1] != 1:
-            raise ValueError("length mismatch: degree-L input must be monic for a length-L phase")
-        coeffs = coeffs[:L]
-    elif len(coeffs) > L:
-        raise ValueError("length mismatch between polynomial and phase")
-    return sum(c * v for c, v in zip(coeffs, comps)) % d
-
 
 def fft_cost(size: int) -> int:
     """Modelled cost of a full transform of a table of this size."""
@@ -338,18 +293,20 @@ def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.nd
     return out
 
 
-def dft_point(d: int, n: int, mode: str, rule: str, u: Phase | Sequence[int]) -> complex:
-    """Transform of the product weight at one phase, assembled across the
-    primes dividing squarefree d by the CRT twist."""
+def dft_point(d: int, n: int, mode: str, rule: str, u: Sequence[int]) -> complex:
+    """Transform of the product weight at one phase u (components mod d),
+    assembled across the primes p dividing squarefree d by the CRT twist:
+    the product of the cached p-table transforms at (c_p u) mod p, with
+    c_p = (d/p)^(-1) mod p."""
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
-    comps = u.components if isinstance(u, Phase) else tuple(int(c) % d for c in u)
-    dim = space_dim(n, mode)
-    if len(comps) != dim:
+    comps = tuple(int(c) % d for c in u)
+    if len(comps) != space_dim(n, mode):
         raise ValueError("phase length does not match the mode")
     val = complex(1.0)
-    for p, table in _twisted_dfts(d, n, mode, rule):
-        val *= table[tuple(c % p for c in comps)]
+    for p in prime_factors(d):
+        c_p = pow(d // p, -1, p)
+        val *= weight_table(p, n, mode, rule).dft()[tuple(c_p * c % p for c in comps)]
     return val
 
 
@@ -367,10 +324,9 @@ def product_weight_values(d: int, n: int, mode: str, rule: str) -> np.ndarray:
     return vals
 
 
-def dft_point_direct(d: int, n: int, mode: str, rule: str,
-                     u: Phase | Sequence[int]) -> complex:
+def dft_point_direct(d: int, n: int, mode: str, rule: str, u: Sequence[int]) -> complex:
     """Independent oracle: direct summation over all of V_n(Z/dZ)."""
-    comps = u.components if isinstance(u, Phase) else tuple(int(c) % d for c in u)
+    comps = tuple(int(c) % d for c in u)
     dim = space_dim(n, mode)
     if len(comps) != dim:
         raise ValueError("phase length does not match the mode")

@@ -5,8 +5,9 @@ xi_e = mu(e)/C with C the number of squarefree integers up to the level D;
 Mobius inversion gives lambda_d = mu(d) tau(d) sum_{d | e <= D} mu(e) xi_e,
 normalized so lambda_1 = 1.  All weight arithmetic is exact rational.
 
-For a lattice polynomial f the local factor at p is
-nu_p(f) = (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 in {0, 1/2, 1}.  By
+A lattice polynomial f is its coefficient sequence (a_0, ..., a_n), low
+to high, widened to Python ints by `zpoly._coeffs`.  Its local factor
+at p is nu_p(f) = (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 in {0, 1/2, 1}.  By
 Stickelberger's theorem it is read off the exact discriminant: 1/2 unless
 f mod p has degree exactly n, else (1 - chi_p(Disc f)) / 2 with chi_p the
 quadratic character of `charsum._chi` (the one the weight tables use).  The
@@ -30,6 +31,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from . import _ints
 from .charsum import (MONIC, SmoothWeight, _chi, contraction_cost, lattice_weight_sum,
                       space_dim, table_build_cost)
 from .errors import BudgetExceededError, SieveInequalityError
-from .zpoly import ZPoly, _disc, box_cost, square_disc_scan
+from .zpoly import _coeffs, _disc, box_cost, square_disc_scan
 
 MARGIN_TOLERANCE = 1e-9
 DEFAULT_VERIFY_BUDGET = 500_000_000
@@ -57,10 +59,6 @@ class SieveWeights:
     def __post_init__(self):
         if self.lam.get(1) != 1:
             raise ValueError("lambda_1 must equal 1")
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.lam)
 
 
 def selberg_weights(D: int) -> SieveWeights:
@@ -88,14 +86,15 @@ def diagonalization_sum(weights: SieveWeights) -> Fraction:
     return total
 
 
-def nu_weight(f: ZPoly, p: int, n: int) -> Fraction:
-    """Local factor (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 for a prime p:
-    1/2 unless f mod p has degree exactly n, else (1 - chi_p(Disc g)) / 2
-    with g = a_0 + ... + a_n x^n, the same polynomial mod p.  The symbol
-    is that of Disc, not LDisc: the two differ when a_n is a non-residue."""
+def nu_weight(f: Sequence[int], p: int, n: int) -> Fraction:
+    """Local factor (1 + (-1)^(n+1) mu_{p,n}(f mod p)) / 2 for a prime p and
+    coefficients f = (a_0, a_1, ...): 1/2 unless f mod p has degree exactly
+    n, else (1 - chi_p(Disc g)) / 2 with g = a_0 + ... + a_n x^n, the same
+    polynomial mod p.  The symbol is that of Disc, not LDisc: the two
+    differ when a_n is a non-residue."""
     if n < 1 or not _ints.is_prime(p):
         raise ValueError(f"need a target degree n >= 1 and a prime p, got n={n}, p={p}")
-    c = f.coeffs
+    c = _coeffs(f)
     if len(c) <= n or c[n] % p == 0 or any(a % p for a in c[n + 1:]):
         return Fraction(1, 2)
     return Fraction(1 - _chi(_disc(c[:n + 1]), p), 2)
@@ -128,33 +127,17 @@ def pair_weights(weights: SieveWeights) -> dict[int, Fraction]:
     return dict(sorted(out.items()))
 
 
-def qf_value(f: ZPoly, weights: SieveWeights, n: int) -> Fraction:
+def qf_value(f: Sequence[int], weights: SieveWeights, n: int) -> Fraction:
     """Q_f = sum_{d1,d2} lambda_{d1} lambda_{d2} prod_{p | [d1,d2]} nu_p(f)
     = sum_m w_m prod_{p | m} nu_p(f)."""
-    nu = {p: nu_weight(f, p, n) for p in _ints.primes_up_to(weights.D)}
+    c = _coeffs(f)
+    nu = {p: nu_weight(c, p, n) for p in _ints.primes_up_to(weights.D)}
     total = Fraction(0)
     for m, w in pair_weights(weights).items():
         for p in _ints.prime_factors(m):
             w *= nu[p]
         total += w
     return total
-
-
-def qf_gram(f: ZPoly, D: int, n: int):
-    """Gram matrix of the quadratic form over squarefree d <= D (floats),
-    for eigenvalue diagnostics."""
-    sq = _ints.squarefree_up_to(D)
-    primes = _ints.primes_up_to(D)
-    nu = {p: float(nu_weight(f, p, n)) for p in primes}
-    sets = {d: frozenset(_ints.prime_factors(d)) if d > 1 else frozenset() for d in sq}
-    g = np.empty((len(sq), len(sq)))
-    for i, d1 in enumerate(sq):
-        for j, d2 in enumerate(sq):
-            val = 1.0
-            for p in sets[d1] | sets[d2]:
-                val *= nu[p]
-            g[i, j] = val
-    return list(sq), g
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 for Galois group inside the alternating group, height-box enumeration, and
 the 2^omega divisor identity.
 
+A polynomial is its coefficient sequence (a_0, ..., a_n), low to high;
+the box walker yields tuples.  Every entry point that does exact
+arithmetic on coefficients takes them through `_coeffs`, which widens
+each integer (numpy's included) to a Python int and refuses anything else.
+
 Discriminants are exact integers.  Degrees 2 to 6 evaluate the generated
 closed forms of `_discforms` (regenerated by tools/gen_discforms.py) in
 Python ints; other degrees compute (-1)^(n(n-1)/2) * Res(f, f') / a_n
@@ -21,6 +26,7 @@ reaches 2^63 is refused with BudgetExceededError before any work.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -32,43 +38,6 @@ from ._discforms import DISC, TERMS, disc3
 from .errors import BudgetExceededError
 
 DEFAULT_BOX_BUDGET = 100_000_000
-
-
-@dataclass(frozen=True)
-class ZPoly:
-    """Degree-n ambient integer polynomial, coefficients a_0..a_n low to high."""
-
-    coeffs: tuple[int, ...]
-    n: int
-    monic: bool = False
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError("coefficient vector must have length n + 1")
-        if self.monic and self.coeffs[-1] != 1:
-            raise ValueError("monic polynomial must have leading coefficient 1")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int], monic: bool | None = None) -> "ZPoly":
-        t = tuple(int(c) for c in coeffs)
-        if monic is None:
-            monic = bool(t) and t[-1] == 1
-        return cls(t, len(t) - 1, monic)
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
-    @property
-    def height(self) -> int:
-        return max(abs(c) for c in self.coeffs)
-
-    @property
-    def degree(self) -> int | None:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return None
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -136,21 +105,31 @@ def _disc(coeffs: Sequence[int]) -> int:
     return form(*coeffs) if form is not None else _disc_sylvester(coeffs)
 
 
-def discriminant(f: ZPoly) -> int:
-    """Exact polynomial discriminant; requires a_n != 0."""
-    if f.leading == 0:
-        raise ValueError("discriminant requires a nonzero leading coefficient")
-    if f.n < 1:
+def _coeffs(f: Sequence[int]) -> tuple[int, ...]:
+    """f as a tuple of Python ints, low to high.  Every integer type
+    (numpy's included) is widened, so no fixed-width value reaches the
+    exact arithmetic; anything else, a float too, raises TypeError."""
+    return tuple(map(operator.index, f))
+
+
+def discriminant(f: Sequence[int]) -> int:
+    """Exact discriminant of f = (a_0, ..., a_n); requires n >= 1 and
+    a_n != 0."""
+    c = _coeffs(f)
+    if len(c) < 2:
         raise ValueError("discriminant requires degree >= 1")
-    return _disc(f.coeffs)
+    if c[-1] == 0:
+        raise ValueError("discriminant requires a nonzero leading coefficient")
+    return _disc(c)
 
 
-def ldisc(f: ZPoly) -> int:
+def ldisc(f: Sequence[int]) -> int:
     """Leading coefficient times discriminant."""
-    return f.leading * discriminant(f)
+    c = _coeffs(f)
+    return c[-1] * discriminant(c)
 
 
-def gal_in_an(f: ZPoly) -> bool:
+def gal_in_an(f: Sequence[int]) -> bool:
     """Square-discriminant criterion: the Galois group of a separable f acts
     by even permutations exactly when Disc(f) is a nonzero perfect square.
     Reducible separable polynomials are included on purpose."""
@@ -159,23 +138,19 @@ def gal_in_an(f: ZPoly) -> bool:
 
 
 def enumerate_box(n: int, H: int, monic: bool = False,
-                  budget: int | None = DEFAULT_BOX_BUDGET) -> Iterator[ZPoly]:
-    """All lattice polynomials of height <= H: the monic slice fixes a_n = 1,
-    the general box requires a_n != 0.  Constant term varies fastest."""
+                  budget: int | None = DEFAULT_BOX_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Coefficient tuples (a_0, ..., a_n) of all lattice polynomials of
+    height <= H: the monic slice fixes a_n = 1, the general box requires
+    a_n != 0.  Constant term varies fastest."""
     if n < 1 or H < 0:
         raise ValueError("need n >= 1 and H >= 0")
     count = _box_points(n, H, monic)
     if budget is not None and count > budget:
         raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
     span = range(-H, H + 1)
-    if monic:
+    for lead in [1] if monic else [a for a in span if a != 0]:
         for vec in product(span, repeat=n):
-            yield ZPoly(vec[::-1] + (1,), n, True)
-    else:
-        leads = [a for a in span if a != 0]
-        for lead in leads:
-            for vec in product(span, repeat=n):
-                yield ZPoly(vec[::-1] + (lead,), n, False)
+            yield vec[::-1] + (lead,)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +264,7 @@ def _point_blocks(n: int, R: int, monic: bool, points: int):
     # a block adds nothing for the cyclic garbage collector to scan
     coeffs, discs = [], []
     for i, f in enumerate(enumerate_box(n, R, monic, budget=None), 1):
-        coeffs.extend(f.coeffs[:dim])
+        coeffs.extend(f[:dim])
         discs.append(discriminant(f))
         if i % _BLOCK == 0 or i == points:
             yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),

@@ -158,13 +158,10 @@ def test_criterion_07_modified_selberg_inequality():
 
 def test_criterion_08_qf_certificate():
     started = time.perf_counter()
-    from polysieve.zpoly import ZPoly
-
     survivors, _ = square_disc_scan(3, 6, monic=True)
     assert survivors
     weights = {D: selberg_weights(D) for D in (4, 8)}
-    for coeffs, disc in survivors:
-        f = ZPoly.from_coeffs(coeffs)
+    for f, disc in survivors:
         bound = Fraction(1, 2 ** _ints.omega(disc))
         for D, w in weights.items():
             q = qf_value(f, w, 3)

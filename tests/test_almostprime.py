@@ -66,7 +66,7 @@ class TestDiscSequence:
         direct = 0.0
         zero_direct = 0.0
         for f in enumerate_box(3, R, monic=True, budget=None):
-            w = phi.value([c / 4 for c in f.coeffs[:3]])
+            w = phi.value([c / 4 for c in f[:3]])
             if discriminant(f) == 0:
                 zero_direct += w
             else:
@@ -84,7 +84,7 @@ class TestDiscSequence:
         # the sum of the closed form's |terms| bounds the exhaustive maximum
         # of the Sylvester route, independent of the closed form
         for R in range(9):
-            top = max((abs(_disc_sylvester(f.coeffs))
+            top = max((abs(_disc_sylvester(f))
                        for f in enumerate_box(3, R, True, None)), default=0)
             assert top <= _ldisc_abs_bound(3, R, True), R
         # R = 104, the H = 30 box
@@ -200,7 +200,7 @@ class TestDiscSequence:
         for f in enumerate_box(3, 3, monic=True, budget=None):
             d = discriminant(f)
             if d:
-                w = phi.value([c / 2 for c in f.coeffs[:3]])
+                w = phi.value([c / 2 for c in f[:3]])
                 direct[abs(d)] = direct.get(abs(d), 0.0) + w
         assert np.all(np.diff(seq.ms) > 0)
         assert seq.ms.tolist() == sorted(direct)
@@ -223,7 +223,7 @@ class TestDiscSequence:
             d = discriminant(f)
             if d:
                 key = abs(d)
-                direct[key] = direct.get(key, 0.0) + SmoothWeight().value(f.coeffs[:4])
+                direct[key] = direct.get(key, 0.0) + SmoothWeight().value(f[:4])
         assert set(seq.ms.tolist()) == set(direct)
         for m, mass in direct.items():
             assert abs(seq.mass_of(m) - mass) < 1e-12

@@ -27,7 +27,6 @@ from polysieve import charsum
 from polysieve.charsum import (
     GENERAL,
     MONIC,
-    Phase,
     SmoothWeight,
     WeightTable,
     _crt_split,
@@ -38,7 +37,6 @@ from polysieve.charsum import (
     dft_point_direct,
     lattice_weight_sum,
     max_nonzero_phase,
-    pair,
     poisson_check,
     product_weight_values,
     space_dim,
@@ -54,24 +52,6 @@ def parseval_gap(w):
     lhs = float((np.abs(ft) ** 2).sum())
     rhs = float((np.abs(w.values) ** 2).sum()) / w.size
     return abs(lhs - rhs)
-
-
-class TestPair:
-    def test_coefficient_sum(self):
-        assert pair([1, 2, 1], Phase.of(5, (1, 1, 1))) == 4
-
-    def test_zero_phase(self):
-        assert pair([3, 1, 4], Phase.of(7, (0, 0, 0))) == 0
-
-    def test_monic_drops_leading(self):
-        # x^3 paired against a length-3 phase: only lower coefficients count
-        assert pair([0, 0, 0, 1], Phase.of(7, (4, 4, 4))) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pair([1, 2, 3, 4, 5], Phase.of(5, (1, 1, 1)))
-        with pytest.raises(ValueError):
-            pair([1, 2, 3, 2], Phase.of(5, (1, 1, 1)))  # degree-3, not monic
 
 
 class TestWeightTables:

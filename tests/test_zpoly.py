@@ -21,7 +21,6 @@ from polysieve._discforms import TERMS
 from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.zpoly import (
-    ZPoly,
     _disc_sylvester,
     discriminant,
     enumerate_box,
@@ -30,10 +29,6 @@ from polysieve.zpoly import (
     square_disc_scan,
     tau_mu_sqfree,
 )
-
-
-def zp(*coeffs):
-    return ZPoly.from_coeffs(coeffs)
 
 
 def disc2(a, b, c):
@@ -54,51 +49,49 @@ def disc4(a, b, c, d, e):
     return val
 
 
-def roots_disc(f: ZPoly) -> float:
-    roots = np.roots(f.coeffs[::-1])
+def roots_disc(f) -> float:
+    roots = np.roots(f[::-1])
     prod = 1.0 + 0.0j
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             prod *= (roots[i] - roots[j]) ** 2
-    return (f.leading ** (2 * f.n - 2) * prod).real
+    return (f[-1] ** (2 * len(f) - 4) * prod).real
 
 
 class TestDiscriminant:
     def test_quadratic(self):
-        assert discriminant(zp(2, 3, 1)) == disc2(1, 3, 2) == 1
+        assert discriminant((2, 3, 1)) == disc2(1, 3, 2) == 1
 
     def test_depressed_cubic(self):
         # x^3 - x
-        f = zp(0, -1, 0, 1)
+        f = (0, -1, 0, 1)
         assert disc3(1, 0, -1, 0) == 4
         assert discriminant(f) == 4
 
     def test_repeated_root(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2
-        assert discriminant(zp(2, -3, 0, 1)) == 0
+        assert discriminant((2, -3, 0, 1)) == 0
 
     def test_linear_is_unit(self):
-        assert discriminant(zp(7, 3)) == 1
+        assert discriminant((7, 3)) == 1
 
     def test_degenerate_leading_rejected(self):
         with pytest.raises(ValueError):
-            discriminant(ZPoly((1, 2, 0), 2))
+            discriminant((1, 2, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-30, 30), min_size=3, max_size=5))
     def test_matches_closed_forms(self, coeffs):
         if coeffs[-1] == 0:
             coeffs[-1] = 1
-        f = ZPoly.from_coeffs(coeffs)
-        oracle = {2: disc2, 3: disc3, 4: disc4}[f.n]
-        assert discriminant(f) == oracle(*coeffs[::-1])
+        oracle = {2: disc2, 3: disc3, 4: disc4}[len(coeffs) - 1]
+        assert discriminant(coeffs) == oracle(*coeffs[::-1])
 
     def test_against_root_products(self):
         rng = random.Random(20240811)
         checked = 0
         while checked < 100:
-            coeffs = [rng.randint(-10, 10) for _ in range(3)] + [1]
-            f = ZPoly.from_coeffs(coeffs)
+            f = [rng.randint(-10, 10) for _ in range(3)] + [1]
             d = discriminant(f)
             if d == 0:
                 continue
@@ -109,24 +102,74 @@ class TestDiscriminant:
     def test_quintic_sylvester(self):
         # degree 5: the closed form and the Sylvester route agree with each
         # other and, numerically, with the root-product oracle
-        f = zp(2, -1, 0, 3, 0, 1)
+        f = (2, -1, 0, 3, 0, 1)
         d = discriminant(f)
-        assert d == _disc_sylvester(f.coeffs)
+        assert d == _disc_sylvester(f)
         assert abs(roots_disc(f) - d) < 1e-6 * abs(d)
 
 
 class TestLdisc:
     def test_monic_equals_disc(self):
-        f = zp(1, 2, 3, 1)
+        f = (1, 2, 3, 1)
         assert ldisc(f) == discriminant(f)
 
     def test_scaled_quadratic(self):
-        f = zp(2, 2, 2)
+        f = (2, 2, 2)
         assert discriminant(f) == -12
         assert ldisc(f) == -24
 
     def test_repeated_root_zero(self):
-        assert ldisc(zp(2, -3, 0, 1)) == 0
+        assert ldisc((2, -3, 0, 1)) == 0
+
+
+class TestCoefficientInput:
+    """Polynomials are plain coefficient sequences: any integer type is
+    widened to a Python int before exact arithmetic, anything else is
+    refused."""
+
+    # (x - a)(x - b)(x - c) with a, b, c near 10^6: coefficients fit int64,
+    # the discriminant ((a-b)(a-c)(b-c))^2 does not
+    A, B, C = 2_000_000, -1_000_003, 1_500_001
+    SPLIT = (-A * B * C, A * B + A * C + B * C, -(A + B + C), 1)
+    CASES = [(3 ** 20, 5 ** 19, -7 ** 18, 1), (3 ** 20, 5 ** 19, -7 ** 18, 11 ** 17),
+             SPLIT, (1, -3, 0, 1), (2, -3, 0, 1), (5, 3), (-4, 0, 3),
+             (7, -2, 9, 0, -5, 3), (1, 1, -1, 2, 0, -3, 4), (3, 0, 0, 0, 0, 0, 0, 2)]
+
+    @pytest.mark.parametrize("coeffs", CASES)
+    def test_int64_input_matches_python_ints(self, coeffs):
+        from polysieve.sieve import nu_weight, qf_value, selberg_weights
+
+        wide = tuple(np.array(coeffs, dtype=np.int64))
+        assert all(type(c) is np.int64 for c in wide)
+        n = len(coeffs) - 1
+        d = discriminant(coeffs)
+        assert discriminant(wide) == d == _disc_sylvester(coeffs)
+        assert ldisc(wide) == ldisc(coeffs) == coeffs[-1] * d
+        assert gal_in_an(wide) == gal_in_an(coeffs)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert nu_weight(wide, p, n) == nu_weight(coeffs, p, n)
+        w = selberg_weights(12)
+        assert qf_value(wide, w, n) == qf_value(coeffs, w, n)
+        assert qf_value(list(wide), w, n) == qf_value(coeffs, w, n)
+
+    def test_exact_beyond_int64(self):
+        a, b, c = self.A, self.B, self.C
+        root_gaps = ((a - b) * (a - c) * (b - c)) ** 2
+        assert root_gaps > 2 ** 63
+        assert discriminant(tuple(np.array(self.SPLIT))) == root_gaps
+        assert gal_in_an(np.array(self.SPLIT))
+        assert discriminant(np.array([3 ** 20, 5 ** 19, -7 ** 18, 1])) == (
+            1024919399996195112030733124664329336745771697973708337044)
+
+    def test_non_integer_refused(self):
+        from polysieve.sieve import nu_weight, qf_value, selberg_weights
+
+        for bad in [(1.0, 0, 1), (1, 0, 1.5), (1, 2, np.float64(1.0)), ("1", 0, 1)]:
+            for call in (discriminant, ldisc, gal_in_an,
+                         lambda f: nu_weight(f, 3, 2),
+                         lambda f: qf_value(f, selberg_weights(6), 2)):
+                with pytest.raises(TypeError):
+                    call(bad)
 
 
 class TestReduceMod:
@@ -137,31 +180,31 @@ class TestReduceMod:
             lead = 0
             while lead == 0:
                 lead = rng.randint(-20, 20)
-            f = ZPoly.from_coeffs(coeffs + [lead])
+            f = coeffs + [lead]
             ld = ldisc(f)
             for p in (2, 3, 5, 7):
-                vanished = mobius_pn(fp_normalize(f.coeffs, p), 3) == 0
+                vanished = mobius_pn(fp_normalize(f, p), 3) == 0
                 assert vanished == (ld % p == 0)
 
 
 class TestGalInAn:
     def test_cyclic_cubic(self):
-        f = zp(1, -3, 0, 1)
+        f = (1, -3, 0, 1)
         assert discriminant(f) == 81
         assert gal_in_an(f)
 
     def test_generic_cubic(self):
-        f = zp(1, -1, 0, 1)
+        f = (1, -1, 0, 1)
         assert discriminant(f) == -23
         assert not gal_in_an(f)
 
     def test_split_quadratic(self):
-        f = zp(-1, 0, 1)
+        f = (-1, 0, 1)
         assert discriminant(f) == 4
         assert gal_in_an(f)
 
     def test_zero_disc_excluded(self):
-        assert not gal_in_an(zp(2, -3, 0, 1))
+        assert not gal_in_an((2, -3, 0, 1))
 
 
 class TestReductionCriterion:
@@ -170,9 +213,9 @@ class TestReductionCriterion:
         for f in enumerate_box(3, 5, monic=False):
             d = discriminant(f)
             for p in (2, 3, 5, 7):
-                if f.leading % p == 0:
+                if f[-1] % p == 0:
                     continue
-                assert (d % p == 0) == (not is_squarefree_fp(fp_normalize(f.coeffs, p)))
+                assert (d % p == 0) == (not is_squarefree_fp(fp_normalize(f, p)))
 
 
 class TestAnObstruction:
@@ -182,9 +225,8 @@ class TestAnObstruction:
         from polysieve._ints import primes_up_to
 
         for coeffs, _d in survivors:
-            f = ZPoly.from_coeffs(coeffs)
             for p in primes_up_to(50):
-                assert mobius_pn(fp_normalize(f.coeffs, p), 3) != 1  # (-1)^(n+1) = +1 at n=3
+                assert mobius_pn(fp_normalize(coeffs, p), 3) != 1  # (-1)^(n+1) = +1 at n=3
 
 
 class TestEnumerateBox:
@@ -194,10 +236,18 @@ class TestEnumerateBox:
     def test_general_count(self):
         polys = list(enumerate_box(2, 1, monic=False))
         assert len(polys) == 18
-        assert all(f.leading != 0 for f in polys)
+        assert all(f[-1] != 0 for f in polys)
 
     def test_monic_cubic_count(self):
         assert sum(1 for _ in enumerate_box(3, 2, monic=True)) == 125
+
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_yields_python_int_tuples(self, monic):
+        polys = list(enumerate_box(3, 2, monic))
+        assert len(set(polys)) == len(polys) == (125 if monic else 500)
+        assert all(type(f) is tuple and len(f) == 4 for f in polys)
+        assert all(type(c) is int for f in polys for c in f)
+        assert all(max(map(abs, f)) <= 2 for f in polys)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -210,17 +260,17 @@ class TestSquareDiscScan:
         slow_survivors = []
         slow_zeros = 0
         for f in enumerate_box(3, 4, monic=True):
-            d = _disc_sylvester(f.coeffs)
+            d = _disc_sylvester(f)
             if d == 0:
                 slow_zeros += 1
             elif d > 0 and math.isqrt(d) ** 2 == d:
-                slow_survivors.append((f.coeffs, d))
+                slow_survivors.append((f, d))
         assert fast == slow_survivors
         assert zeros_fast == slow_zeros
 
     def test_general_fastpath_matches_generic(self):
         fast, zeros_fast = square_disc_scan(3, 2, monic=False)
-        slow = [(f.coeffs, _disc_sylvester(f.coeffs)) for f in enumerate_box(3, 2, monic=False)]
+        slow = [(f, _disc_sylvester(f)) for f in enumerate_box(3, 2, monic=False)]
         slow_survivors = [(c, d) for c, d in slow if d > 0 and math.isqrt(d) ** 2 == d]
         assert fast == slow_survivors
         assert zeros_fast == sum(1 for _, d in slow if d == 0)
@@ -237,11 +287,11 @@ class TestSquareDiscScan:
         want = []
         want_zeros = 0
         for f in enumerate_box(n, R, monic):
-            d = _disc_sylvester(f.coeffs)
+            d = _disc_sylvester(f)
             if d == 0:
                 want_zeros += 1
             elif d > 0 and math.isqrt(d) ** 2 == d:
-                want.append((f.coeffs, d))
+                want.append((f, d))
         assert got == want
         assert zeros == want_zeros
 
@@ -257,8 +307,8 @@ class TestDiscDomain:
             coeffs, discs = next(zpoly._disc_blocks(10, 1, monic, None))
             first = [f for f, _ in zip(enumerate_box(10, 1, monic), range(16))]
             dim = 10 if monic else 11  # a_10 is free only in the general box
-            assert coeffs.tolist() == [list(f.coeffs[:dim]) for f in first]
-            assert discs.tolist() == [_disc_sylvester(f.coeffs) for f in first]
+            assert coeffs.tolist() == [list(f[:dim]) for f in first]
+            assert discs.tolist() == [_disc_sylvester(f) for f in first]
 
     def test_degree_eleven_refused_before_work(self, monkeypatch):
         def no_work(*_a, **_k):
@@ -271,7 +321,7 @@ class TestDiscDomain:
 
     @pytest.mark.parametrize("n,R,monic", [(4, 2, True), (3, 2, False)])
     def test_bound_dominates_box_maximum(self, n, R, monic):
-        top = max(abs(f.leading * _disc_sylvester(f.coeffs))
+        top = max(abs(f[-1] * _disc_sylvester(f))
                   for f in enumerate_box(n, R, monic))
         assert 0 < top ** 2 <= zpoly._ldisc_bound_sq(n, R, monic)
 
@@ -280,7 +330,7 @@ class TestDiscDomain:
     def test_term_bound_dominates_box_maximum(self, n, R, monic):
         # the term-sum bound the int64 domain reads covers the exhaustive
         # maximum of |a_n Disc| on the Sylvester route
-        top = max(abs(f.leading * _disc_sylvester(f.coeffs))
+        top = max(abs(f[-1] * _disc_sylvester(f))
                   for f in enumerate_box(n, R, monic))
         assert 0 < top <= zpoly._ldisc_abs_bound(n, R, monic)
 
