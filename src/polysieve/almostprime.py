@@ -46,21 +46,32 @@ class DiscSequence:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    @property
-    def max_m(self) -> int:
-        return int(self.ms[-1]) if self.ms.size else 0
-
-    def mass_of(self, m: int) -> float:
-        idx = np.searchsorted(self.ms, m)
-        if idx < self.ms.size and self.ms[idx] == m:
-            return float(self.masses[idx])
-        return 0.0
-
     def divisible_mass(self, d: int) -> float:
         if d == 1:
             return self.total_mass
         # int64 division by a scalar is much cheaper than the remainder
         return float(self.masses[self.ms // d * d == self.ms].sum())
+
+
+# keys per pass after the sort.  The passes allocate nothing of point size,
+# and their few temporaries of 256 KiB each stay in the allocator's heap
+# from pass to pass: at 2^17 keys a pass, the cubic build at H = 30 took
+# 5x the page faults and ~30% more time.
+_CHUNK = 1 << 15
+
+
+def _group_starts(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Indices of the sorted keys where keys >> shift changes: the starts of
+    the groups of equal |Disc|, found in passes of _CHUNK keys."""
+    starts, prev = [], -1
+    for i in range(0, keys.size, _CHUNK):
+        vals = keys[i:i + _CHUNK] >> shift
+        new = np.empty(vals.size, dtype=bool)
+        new[0] = vals[0] != prev
+        np.not_equal(vals[1:], vals[:-1], out=new[1:])
+        starts.append(np.flatnonzero(new) + i)
+        prev = vals[-1]
+    return np.concatenate(starts)
 
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
@@ -70,61 +81,81 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     monic lattice, truncated where the Gaussian falls below machine
     precision (override with an explicit radius for hard boxes).
 
-    Each nonzero |Disc| is packed with its enumeration slot into one int64
-    key, |Disc| << shift | slot, and the keys are sorted in place.  Keys
-    are distinct, so equal |Disc| stay in enumeration order and their
-    masses add up in that order.  Domain: max |Disc| < 2^(63 - shift),
-    checked on `zpoly._ldisc_abs_bound` before any allocation; a box
-    outside it is refused with BudgetExceededError."""
+    Each nonzero |Disc| is packed with its box position into one int64
+    key, |Disc| << shift | slot, and the keys are sorted in place.  The
+    slot is the point's running index in enumeration order, zero
+    discriminants included, so its base-(2R+1) digits are the coordinates
+    a_j + R and a point's weight is recomputed from its key after the sort.
+    Keys are distinct, so equal |Disc| stay in enumeration order and their
+    masses add up in that order.  Memory: one int64 key per box point, plus
+    the outputs and the group starts (three arrays per distinct |Disc|).
+    Domain: max |Disc| < 2^(63 - shift), checked on
+    `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
+    refused with BudgetExceededError."""
     if n < 2:
         raise ValueError("need degree n >= 2")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
     blocks = _disc_blocks(n, R, True, budget)  # refuses before allocating
-    points = (2 * R + 1) ** n
+    width = 2 * R + 1
+    points = width ** n
     shift = (points - 1).bit_length()
     bound = _ldisc_abs_bound(n, R, True)  # |LDisc| = |Disc| when monic
     if bound >= 1 << (63 - shift):
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |Disc| may reach {bound}, too large "
             f"to pack with a {shift}-bit slot into an int64 sort key")
-    # one output slot per box point, filled block by block: two large
-    # arrays that are freed whole, where a list of per-block arrays would
-    # leave the allocator's heap fragmented and resident
-    keys = np.empty(points, dtype=np.int64)
-    masses = np.empty(points)
-    k = 0
-    zero_mass = 0.0
-    # every coordinate lies in [-R, R]: one profile entry per integer value
+    # every coordinate lies in [-R, R]: one profile entry per integer value,
+    # and one table of products for the two low coordinates
     profile = phi.coord_profile(np.arange(-R, R + 1) / H)
-    for coeffs, discs in blocks:
-        # column by column, in the order a row product would multiply
-        w = profile[coeffs[:, 0] + R]
-        for j in range(1, coeffs.shape[1]):
-            w *= profile[coeffs[:, j] + R]
+    low = np.multiply.outer(profile, profile).ravel()
+
+    def weights(slots):
+        # digit by digit, in the order a row product would multiply
+        q = slots // (width * width)
+        w = low[slots - q * (width * width)]
+        for _ in range(2, n):
+            r = q // width
+            w *= profile[q - r * width]
+            q = r
         w *= phi.amplitude
+        return w
+
+    # one slot per box point, filled block by block: one large array that
+    # is freed whole, where a list of per-block arrays would leave the
+    # allocator's heap fragmented and resident
+    keys = np.empty(points, dtype=np.int64)
+    k = pos = 0
+    zero_mass = 0.0
+    for _coeffs, discs in blocks:
         live = discs != 0
-        zero_mass += float(w[~live].sum())
+        slots = np.arange(pos, pos + discs.size)
+        pos += discs.size
+        zero_mass += float(weights(slots[~live]).sum())
         m = int(np.count_nonzero(live))
         out = keys[k:k + m]
         np.abs(discs[live], out=out)
         out <<= shift
-        out |= np.arange(k, k + m)
-        masses[k:k + m] = w[live]
+        out |= slots[live]
         k += m
-    keys, masses = keys[:k], masses[:k]
+    keys = keys[:k]
     if not k:
-        return DiscSequence(n, H, phi, R, keys, masses, zero_mass)
+        return DiscSequence(n, H, phi, R, keys, np.empty(0), zero_mass)
     keys.sort()
-    # at most three point-sized arrays alive at once: keys, masses and
-    # either the unpacked |Disc| or the permuted masses
-    vals = keys >> shift
-    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-    ms = vals[starts]
-    del vals
+    starts = _group_starts(keys, shift)
+    ms = keys[starts]
+    ms >>= shift
     keys &= (1 << shift) - 1
-    masses = masses[keys]
-    return DiscSequence(n, H, phi, R, ms, np.add.reduceat(masses, starts), zero_mass)
+    # each pass runs from the first group start at or after a multiple of
+    # _CHUNK to the next one, so every group sums whole inside one pass
+    masses = np.empty(starts.size)
+    edges = np.unique(np.append(np.searchsorted(starts, np.arange(0, k, _CHUNK)),
+                                starts.size))
+    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        lo = starts[g0]
+        hi = starts[g1] if g1 < starts.size else k
+        masses[g0:g1] = np.add.reduceat(weights(keys[lo:hi]), starts[g0:g1] - lo)
+    return DiscSequence(n, H, phi, R, ms, masses, zero_mass)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +61,17 @@ class SieveWeights:
     def __post_init__(self):
         if self.lam.get(1) != 1:
             raise ValueError("lambda_1 must equal 1")
+
+    @cached_property
+    def pair_weights(self) -> Mapping[int, Fraction]:
+        """w_m = sum_{[d1,d2] = m} lambda_{d1} lambda_{d2}, keyed by m
+        ascending and read-only: every sum of lambda_{d1} lambda_{d2}
+        g([d1,d2]) is sum_m w_m g(m).  Built once per weights."""
+        out: dict[int, Fraction] = defaultdict(Fraction)
+        for d1, l1 in self.lam.items():
+            for d2, l2 in self.lam.items():
+                out[math.lcm(d1, d2)] += l1 * l2
+        return MappingProxyType(dict(sorted(out.items())))
 
 
 def selberg_weights(D: int) -> SieveWeights:
@@ -117,14 +130,9 @@ class LocalMatrix:
         return a >= 0 and c >= 0 and a * c - b * b >= 0
 
 
-def pair_weights(weights: SieveWeights) -> dict[int, Fraction]:
-    """w_m = sum_{[d1,d2] = m} lambda_{d1} lambda_{d2}, keyed by m ascending:
-    every sum of lambda_{d1} lambda_{d2} g([d1,d2]) is sum_m w_m g(m)."""
-    out: dict[int, Fraction] = defaultdict(Fraction)
-    for d1, l1 in weights.lam.items():
-        for d2, l2 in weights.lam.items():
-            out[math.lcm(d1, d2)] += l1 * l2
-    return dict(sorted(out.items()))
+def pair_weights(weights: SieveWeights) -> Mapping[int, Fraction]:
+    """The pair weights w_m of `weights`, built on the first call."""
+    return weights.pair_weights
 
 
 def qf_value(f: Sequence[int], weights: SieveWeights, n: int) -> Fraction:
@@ -157,11 +165,15 @@ class VerifyReport:
     wall_time: float
 
 
+@lru_cache(maxsize=None)
 def _an_weighted_lattice_sum(n: int, mode: str, phi: SmoothWeight, H: int,
                              budget: int | None) -> tuple[float, int]:
     """Left side: sum over square-discriminant lattice polynomials of
     phi(f/H) / 2^omega(LDisc f), truncated where the Gaussian is below
-    machine precision (the discarded terms are nonnegative)."""
+    machine precision (the discarded terms are nonnegative).  It does not
+    depend on the sieve level, so it is cached: the cells of one H and
+    several D scan their box once (SmoothWeight is frozen, so equal
+    weights share an entry)."""
     R = phi.lattice_radius(H, 1e-16)
     survivors, _zero = square_disc_scan(n, R, mode == MONIC, budget=budget)
     if not survivors:

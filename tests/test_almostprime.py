@@ -7,6 +7,7 @@ for the batch factoring, and the closed-form main terms.
 """
 
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ class TestDiscSequence:
         seq = build_disc_sequence(2, 1, phi, radius=1)
         assert sorted(seq.ms.tolist()) == [1, 3, 4, 5]
         for m, mass in expected.items():
-            assert abs(seq.mass_of(m) - mass) < 1e-12
+            assert abs(seq.masses[np.searchsorted(seq.ms, m)] - mass) < 1e-12
         assert abs(seq.zero_mass - phi.value((0, 0))) < 1e-12
 
     def test_mass_conservation(self):
@@ -77,7 +78,7 @@ class TestDiscSequence:
     def test_support_bound(self, seq):
         # |Disc| <= 5R^4 + 22R^3 + 27R^2 over the truncated box (H = 20),
         # and R <= 3.5 sigma H + 2
-        assert seq.max_m <= _ldisc_abs_bound(3, seq.radius, True)
+        assert seq.ms[-1] <= _ldisc_abs_bound(3, seq.radius, True)
         assert seq.radius <= 3.5 * 20 + 2
 
     def test_cubic_term_bound_covers_box(self):
@@ -121,11 +122,14 @@ class TestDiscSequence:
         assert (573 ** 3 - 1).bit_length() == 28
         assert _ldisc_abs_bound(3, 286, True) < 2 ** 35 <= _ldisc_abs_bound(3, 287, True)
 
-    @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1),
+                                              (3, 10, 33), (4, 2, 3)])
     def test_matches_stable_argsort_oracle(self, n, H, radius):
         # the histogram as one stable argsort over plain |Disc| builds it,
         # with the row-product weights: equal |Disc| add up in enumeration
-        # order, so the packed-key sort must agree bit for bit
+        # order, so the packed-key sort must agree bit for bit.  The radius-33
+        # cubic box has more live points than one post-sort pass, so groups
+        # meet the pass edges; the quartics read digits above the low table.
         phi = SmoothWeight()
         seq = build_disc_sequence(n, H, phi, radius=radius)
         R = seq.radius
@@ -144,6 +148,20 @@ class TestDiscSequence:
         assert np.array_equal(seq.ms, vals[starts])
         assert np.array_equal(seq.masses, np.add.reduceat(masses, starts))
         assert seq.zero_mass == zero_mass
+
+    def test_memory_is_one_key_per_point(self):
+        # one int64 key per box point, three arrays per distinct |Disc|
+        # (values, masses, group starts) and a fixed allowance for the
+        # per-block and per-pass temporaries; a float mass array beside the
+        # keys would add 8 bytes per point and break the bound
+        tracemalloc.start()
+        try:
+            seq = build_disc_sequence(3, 20, radius=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = 121 ** 3
+        assert peak < 8 * points + 24 * seq.ms.size + 16 * 2 ** 20
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -213,7 +231,6 @@ class TestDiscSequence:
         seq = build_disc_sequence(2, 1, phi, radius=0)
         assert seq.ms.size == 0 and seq.masses.size == 0
         assert seq.total_mass == 0.0
-        assert seq.max_m == 0
         assert seq.zero_mass == phi.amplitude
 
     def test_quartic_generic_path(self):
@@ -226,7 +243,7 @@ class TestDiscSequence:
                 direct[key] = direct.get(key, 0.0) + SmoothWeight().value(f[:4])
         assert set(seq.ms.tolist()) == set(direct)
         for m, mass in direct.items():
-            assert abs(seq.mass_of(m) - mass) < 1e-12
+            assert abs(seq.masses[np.searchsorted(seq.ms, m)] - mass) < 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -26,11 +26,13 @@ from polysieve.charsum import (
     table_build_cost,
     weight_table,
 )
+from polysieve import sieve
 from polysieve.errors import BudgetExceededError
 from polysieve.sieve import (
     AnBoxCount,
     LocalMatrix,
     SieveWeights,
+    _an_weighted_lattice_sum,
     count_an_box,
     diagonalization_sum,
     hit_exponent,
@@ -206,6 +208,15 @@ class TestQf:
         assert list(pw) == sorted({math.lcm(a, b) for a in w.lam for b in w.lam})
         assert sum(pw.values()) == sum(w.lam.values()) ** 2
 
+    def test_pair_weights_built_once(self):
+        # one read-only mapping per SieveWeights, shared by every Q_f
+        w = selberg_weights(10)
+        pw = pair_weights(w)
+        assert pair_weights(w) is pw
+        with pytest.raises(TypeError):
+            pw[1] = Fraction(0)
+        assert dict(pw) == dict(pair_weights(selberg_weights(10)))
+
     def test_gram_psd_random(self):
         # the Gram matrix of Q_f over squarefree d <= D, entries
         # prod_{p | [d1,d2]} nu_p(f), is PSD
@@ -314,6 +325,28 @@ class TestVerify:
                 free = f if mode == GENERAL else f[:n]
                 direct += phi.value([c / H for c in free]) / 2 ** omega(abs(ldisc(f)))
         assert abs(rep.lhs - direct) <= 1e-12 * direct
+
+    def test_left_side_scanned_once_per_box(self, monkeypatch):
+        # the left side does not depend on D: a 2 H x 2 D run scans each
+        # box once, and every report equals the one computed uncached
+        scans = []
+        real = sieve.square_disc_scan
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sieve, "square_disc_scan", counting)
+        _an_weighted_lattice_sum.cache_clear()
+        cells = [(H, D) for H in (3, 4) for D in (2, 4)]
+        cached = [verify_modified_selberg(3, H, D, MONIC) for H, D in cells]
+        assert len(scans) == 2
+        for (H, D), rep in zip(cells, cached):
+            _an_weighted_lattice_sum.cache_clear()
+            fresh = verify_modified_selberg(3, H, D, MONIC)
+            assert ((rep.lhs, rep.rhs, rep.margin, rep.radius)
+                    == (fresh.lhs, fresh.rhs, fresh.margin, fresh.radius))
+        assert len(scans) == 6
 
     def test_strict_mode_raises_on_fabricated_violation(self):
         # a weight vector that breaks lambda_1 = 1 cannot be built at all
