@@ -293,23 +293,6 @@ def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.nd
     return out
 
 
-def dft_point(d: int, n: int, mode: str, rule: str, u: Sequence[int]) -> complex:
-    """Transform of the product weight at one phase u (components mod d),
-    assembled across the primes p dividing squarefree d by the CRT twist:
-    the product of the cached p-table transforms at (c_p u) mod p, with
-    c_p = (d/p)^(-1) mod p."""
-    if d < 1 or not is_squarefree(d):
-        raise ValueError("modulus must be a squarefree positive integer")
-    comps = tuple(int(c) % d for c in u)
-    if len(comps) != space_dim(n, mode):
-        raise ValueError("phase length does not match the mode")
-    val = complex(1.0)
-    for p in prime_factors(d):
-        c_p = pow(d // p, -1, p)
-        val *= weight_table(p, n, mode, rule).dft()[tuple(c_p * c % p for c in comps)]
-    return val
-
-
 def product_weight_values(d: int, n: int, mode: str, rule: str) -> np.ndarray:
     """The product weight on V_n(Z/dZ) as a dense array (small d only)."""
     dim = space_dim(n, mode)

@@ -200,7 +200,7 @@ def cmd_sieve_verify(resolved: dict) -> int:
         phi = (charsum.SmoothWeight.box_calibrated(dim, sigma) if sigma is not None
                else charsum.SmoothWeight.box_calibrated(dim))
         rep = sieve.verify_modified_selberg(n, H, D, mode, phi=phi,
-                                            budget=resolved["budget"], strict=False)
+                                            budget=resolved["budget"])
         results.append({"n": n, "H": H, "D": D, "mode": mode, "lhs": rep.lhs,
                         "rhs": rep.rhs, "margin": rep.margin, "radius": rep.radius,
                         "wall_time": rep.wall_time})

@@ -3,7 +3,3 @@
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or transform would exceed the configured operation cap."""
-
-
-class SieveInequalityError(AssertionError):
-    """A sieve upper-bound check came out below its lower side."""

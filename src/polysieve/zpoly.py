@@ -1,6 +1,5 @@
 """Integer polynomials: exact discriminants, the square-discriminant test
-for Galois group inside the alternating group, height-box enumeration, and
-the 2^omega divisor identity.
+for Galois group inside the alternating group, and height-box enumeration.
 
 A polynomial is its coefficient sequence (a_0, ..., a_n), low to high;
 the box walker yields tuples.  Every entry point that does exact
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -154,29 +152,6 @@ def enumerate_box(n: int, H: int, monic: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# multiplicative number theory surface
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TauOmegaIdentity:
-    lhs: int  # 2^omega(lcm(d1, d2))
-    rhs: int  # tau(d1) tau(d2) / tau(gcd(d1, d2))
-
-
-def tau_mu_sqfree(d1: int, d2: int) -> TauOmegaIdentity:
-    """Both sides of 2^omega([d1,d2]) = tau(d1) tau(d2) / tau((d1,d2)) for
-    squarefree positive d1, d2; they must agree."""
-    if d1 < 1 or d2 < 1 or not _ints.is_squarefree(d1) or not _ints.is_squarefree(d2):
-        raise ValueError("inputs must be squarefree positive integers")
-    left = 2 ** _ints.omega(math.lcm(d1, d2))
-    num = _ints.tau(d1) * _ints.tau(d2)
-    den = _ints.tau(math.gcd(d1, d2))
-    if num % den:
-        raise ArithmeticError("divisor identity produced a non-integer")
-    return TauOmegaIdentity(left, num // den)
-
-
-# ---------------------------------------------------------------------------
 # discriminants over a box
 # ---------------------------------------------------------------------------
 
@@ -285,6 +260,7 @@ def _cubic_blocks(R: int, monic: bool):
             cols = [d_grid, c_grid, np.full(disc.size, b, dtype=np.int64)]
             if not monic:
                 cols.append(np.full(disc.size, a, dtype=np.int64))
+            # stacked for every caller: skipping it for the histogram measured slower (page faults)
             yield np.stack(cols, axis=1), disc
 
 
@@ -292,16 +268,20 @@ def square_disc_scan(n: int, R: int, monic: bool,
                      budget: int | None = DEFAULT_BOX_BUDGET):
     """Scan the height-R box for polynomials with square nonzero discriminant.
 
-    Returns (survivors, zero_disc_count) where survivors is a list of
-    (coeffs, disc) pairs in enumeration order, coeffs a_0..a_n including
-    the leading coefficient.
+    Returns (coeffs, discs, zero_count): coeffs an int64 (k, n+1) array of
+    the survivors' rows a_0..a_n (a_n = 1 included when monic), discs their
+    int64 discriminants, both in enumeration order, and zero_count the
+    number of vanishing discriminants in the box.
     """
-    survivors = []
+    dim = n if monic else n + 1
+    rows, hits = [np.empty((0, dim), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     zero_count = 0
-    lead = (1,) if monic else ()
     for coeffs, discs in _disc_blocks(n, R, monic, budget):
         zero_count += int(np.count_nonzero(discs == 0))
         hit = _ints.square_mask(discs)
-        for row, d in zip(coeffs[hit].tolist(), discs[hit].tolist()):
-            survivors.append((tuple(row) + lead, d))
-    return survivors, zero_count
+        rows.append(coeffs[hit])
+        hits.append(discs[hit])
+    coeffs = np.concatenate(rows)
+    if monic:
+        coeffs = np.column_stack((coeffs, np.ones(len(coeffs), dtype=np.int64)))
+    return coeffs, np.concatenate(hits), zero_count

@@ -21,10 +21,11 @@ from polysieve.charsum import (
     GENERAL,
     MONIC,
     SmoothWeight,
-    dft_point,
+    _twisted_dfts,
     dft_point_direct,
     max_nonzero_phase,
     poisson_check,
+    product_weight_values,
     weight_table,
 )
 from polysieve.almostprime import (
@@ -36,7 +37,6 @@ from polysieve.almostprime import (
     min_admissible_r,
 )
 from polysieve.sieve import (
-    LocalMatrix,
     count_an_box,
     diagonalization_sum,
     hit_exponent,
@@ -45,7 +45,7 @@ from polysieve.sieve import (
     selberg_weights,
     verify_modified_selberg,
 )
-from polysieve.zpoly import square_disc_scan, tau_mu_sqfree
+from polysieve.zpoly import square_disc_scan
 
 
 def report(num: int, message: str, started: float, limit: float | None = None):
@@ -113,11 +113,16 @@ def test_criterion_05_crt_and_parseval():
     started = time.perf_counter()
     rng = np.random.default_rng(20240810)
     for d in (6, 10, 15):
+        # psi_hat_d(u) = prod_p T_p[u mod p] over the twisted p-table transforms
+        crt = np.ones((d,) * 3, dtype=complex)
+        for p, t in _twisted_dfts(d, 3, MONIC, "mobius-half"):
+            crt = crt * t[np.ix_(*([np.arange(d) % p] * 3))]
+        dense = np.fft.ifftn(product_weight_values(d, 3, MONIC, "mobius-half"))
+        assert np.abs(crt - dense).max() < 1e-10
         for _ in range(20):
             u = tuple(rng.integers(0, d, size=3).tolist())
-            got = dft_point(d, 3, MONIC, "mobius-half", u)
             want = dft_point_direct(d, 3, MONIC, "mobius-half", u)
-            assert abs(got - want) < 1e-10
+            assert abs(crt[u] - want) < 1e-10
     # Parseval on every full transform used by criteria 2-4
     tables = [weight_table(p, n, mode, "mobius-half")
               for p, n in ZERO_PHASE_GRID for mode in (GENERAL, MONIC)]
@@ -128,8 +133,8 @@ def test_criterion_05_crt_and_parseval():
         lhs = float((np.abs(w.dft()) ** 2).sum())
         rhs = float((np.abs(w.values) ** 2).sum()) / w.size
         assert abs(lhs - rhs) < 1e-10
-    report(5, f"CRT product = direct summation (60 phases) and Parseval on "
-              f"{len(tables)} tables", started)
+    report(5, f"CRT product = dense FFT (every phase) and direct summation "
+              f"(60 phases); Parseval on {len(tables)} tables", started)
 
 
 def test_criterion_06_poisson_identity():
@@ -158,18 +163,20 @@ def test_criterion_07_modified_selberg_inequality():
 
 def test_criterion_08_qf_certificate():
     started = time.perf_counter()
-    survivors, _ = square_disc_scan(3, 6, monic=True)
-    assert survivors
+    coeffs, discs, _ = square_disc_scan(3, 6, monic=True)
+    assert len(discs)
     weights = {D: selberg_weights(D) for D in (4, 8)}
-    for f, disc in survivors:
+    for f, disc in zip(coeffs.tolist(), discs.tolist()):
         bound = Fraction(1, 2 ** _ints.omega(disc))
         for D, w in weights.items():
             q = qf_value(f, w, 3)
             assert q >= bound - Fraction(1, 10 ** 9)
             assert q >= bound  # exact rational arithmetic: no slack needed
         for p in _ints.primes_up_to(8):
-            assert LocalMatrix.from_nu(p, nu_weight(f, p, 3)).is_psd()
-    report(8, f"Q_f >= 2^-omega(disc) on {len(survivors)} square-discriminant "
+            # the local block [[1, nu], [nu, nu]] is PSD: nu >= 0, det nu - nu^2 >= 0
+            nu = nu_weight(f, p, 3)
+            assert nu >= 0 and nu - nu * nu >= 0
+    report(8, f"Q_f >= 2^-omega(disc) on {len(discs)} square-discriminant "
               f"polynomials, D in {{4, 8}}; local blocks PSD", started)
 
 
@@ -180,10 +187,12 @@ def test_criterion_09_sieve_weight_identities():
         assert w.lam[1] == 1
         assert sum(_ints.mobius(e) * xi for e, xi in w.xi.items()) == 1
         assert diagonalization_sum(w) == Fraction(1, w.C)
+    # 2^omega([d1,d2]) = tau(d1) tau(d2) / tau((d1,d2)), the division exact
     for d1 in _ints.squarefree_up_to(200):
         for d2 in _ints.squarefree_up_to(200):
-            rec = tau_mu_sqfree(d1, d2)
-            assert rec.lhs == rec.rhs
+            num, den = _ints.tau(d1) * _ints.tau(d2), _ints.tau(math.gcd(d1, d2))
+            assert num % den == 0
+            assert 2 ** _ints.omega(math.lcm(d1, d2)) == num // den
     report(9, "lambda_1 = 1, sum mu(e) xi_e = 1, diagonalization = 1/C for "
               "D <= 50, divisor identity for all squarefree pairs <= 200", started)
 

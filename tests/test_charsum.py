@@ -5,11 +5,13 @@ Bareiss discriminant in `zpoly` are the oracles for the Stickelberger
 classifier behind every weight table (`charsum._chi`, `_mobius`,
 `_is_squarefree`), on both sides of its degree crossover: the generated
 closed form for n <= 5 (and at p = 2), `charsum._disc_mod_p` for odd p
-and n >= 6; the direct-summation evaluator `dft_point_direct` is the
-oracle for the CRT product formula; classical one-dimensional Poisson summation for the
-Gaussian anchors the lattice checks, a sum over an explicit box checks the
-lattice side, a per-phase loop over `dft_point` checks the dual side, and a
-plain residue-by-residue loop checks the CRT-split contraction both share.
+and n >= 6; the dense FFT of the product table and the direct-summation
+evaluator `dft_point_direct`, neither of which twists by CRT, are the
+oracles for the CRT product of `_twisted_dfts`; classical one-dimensional
+Poisson summation for the Gaussian anchors the lattice checks, a sum over
+an explicit box checks the lattice side, a per-phase loop over that CRT
+product checks the dual side, and a plain residue-by-residue loop checks
+the CRT-split contraction both share.
 """
 
 import itertools
@@ -33,7 +35,6 @@ from polysieve.charsum import (
     _twisted_dfts,
     _wrapped_contraction,
     contraction_cost,
-    dft_point,
     dft_point_direct,
     lattice_weight_sum,
     max_nonzero_phase,
@@ -257,44 +258,51 @@ class TestDft:
             assert abs(w.dft()[u] - direct) < 1e-12
 
 
+def crt_product(d, n, mode, rule):
+    """psi_hat_d(u) = prod_p T_p[u mod p] at every phase u in (Z/d)^dim,
+    from the twisted p-table transforms of `_twisted_dfts`."""
+    dim = space_dim(n, mode)
+    residues = np.arange(d)
+    out = np.ones((d,) * dim, dtype=complex)
+    for p, t in _twisted_dfts(d, n, mode, rule):
+        out = out * t[np.ix_(*([residues % p] * dim))]
+    return out
+
+
+def assert_crt_matches(d, n, mode, phases, tol):
+    """The CRT product against the dense FFT of the product table at every
+    phase, and against direct summation at the given phases."""
+    got = crt_product(d, n, mode, "mobius-half")
+    dense = np.fft.ifftn(product_weight_values(d, n, mode, "mobius-half"))
+    assert np.abs(got - dense).max() < tol
+    for u in phases:
+        assert abs(got[u] - dft_point_direct(d, n, mode, "mobius-half", u)) < tol, u
+
+
 class TestCrtProduct:
     def test_prime_reduces_to_table(self):
         w = weight_table(5, 3, MONIC, "mobius-half")
-        u = (1, 2, 3)
-        assert abs(dft_point(5, 3, MONIC, "mobius-half", u) - w.dft()[u]) < 1e-14
+        assert np.abs(crt_product(5, 3, MONIC, "mobius-half") - w.dft()).max() < 1e-14
 
     @pytest.mark.parametrize("d", [6, 10, 15])
     def test_matches_direct_summation(self, d):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            u = tuple(rng.integers(0, d, size=3).tolist())
-            got = dft_point(d, 3, MONIC, "mobius-half", u)
-            want = dft_point_direct(d, 3, MONIC, "mobius-half", u)
-            assert abs(got - want) < 1e-10
+        phases = [tuple(rng.integers(0, d, size=3).tolist()) for _ in range(10)]
+        assert_crt_matches(d, 3, MONIC, phases, 1e-10)
 
     def test_general_mode_direct(self):
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            u = tuple(rng.integers(0, 6, size=4).tolist())
-            got = dft_point(6, 3, GENERAL, "mobius-half", u)
-            want = dft_point_direct(6, 3, GENERAL, "mobius-half", u)
-            assert abs(got - want) < 1e-10
+        phases = [tuple(rng.integers(0, 6, size=4).tolist()) for _ in range(5)]
+        assert_crt_matches(6, 3, GENERAL, phases, 1e-10)
 
     def test_zero_phase_product(self):
-        got = dft_point(15, 3, MONIC, "mobius-half", (0, 0, 0))
+        got = crt_product(15, 3, MONIC, "mobius-half")[0, 0, 0]
         assert abs(got - 0.25) < 1e-12  # (1/2)^omega(15)
 
     def test_phase_vanishing_mod_one_prime(self):
         # phases that are 0 mod exactly one prime factor pick up that
         # prime's zero-phase value in the product
-        for u in ((3, 0, 6), (5, 10, 0)):
-            got = dft_point(15, 3, MONIC, "mobius-half", u)
-            want = dft_point_direct(15, 3, MONIC, "mobius-half", u)
-            assert abs(got - want) < 1e-12
-
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(ValueError):
-            dft_point(12, 3, MONIC, "mobius-half", (0, 0, 0))
+        assert_crt_matches(15, 3, MONIC, [(3, 0, 6), (5, 10, 0)], 1e-12)
 
 
 class TestAffineRelation:
@@ -417,15 +425,13 @@ class TestSmoothWeight:
 def dual_sum_oracle(n, mode, d, H, rule, phi):
     """H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), one phase at a time over
     the same window |u_i| <= U that `poisson_check` truncates to, with
-    psi_hat_d from the CRT point evaluator (memoized by u mod d)."""
+    psi_hat_d read from the CRT product at u mod d."""
     dim = space_dim(n, mode)
     U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)
-    psi_hat = {}
+    psi_hat = crt_product(d, n, mode, rule)
     total = 0j
     for u in itertools.product(range(-U, U + 1), repeat=dim):
         r = tuple(c % d for c in u)
-        if r not in psi_hat:
-            psi_hat[r] = dft_point(d, n, mode, rule, r)
         total += phi.fourier(tuple(c * H / d for c in u)) * psi_hat[r]
     return (H ** dim * total).real
 
@@ -570,3 +576,11 @@ class TestPoisson:
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
             poisson_check(3, MONIC, 4, 4.0, "mobius-half")
+
+    def test_non_squarefree_refused_before_tables(self, monkeypatch):
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        with pytest.raises(ValueError, match="squarefree"):
+            poisson_check(3, MONIC, 12, 4, "mobius-half")

@@ -251,6 +251,14 @@ class TestPoissonCheck:
         err = capsys.readouterr().err
         assert err.startswith("budget refusal:") and err.count("\n") == 1
 
+    def test_non_squarefree_modulus_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["poisson-check", "--d", "12", "--H", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "squarefree" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_fills_and_flags_override(self, tmp_path):

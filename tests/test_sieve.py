@@ -30,7 +30,6 @@ from polysieve import sieve
 from polysieve.errors import BudgetExceededError
 from polysieve.sieve import (
     AnBoxCount,
-    LocalMatrix,
     SieveWeights,
     _an_weighted_lattice_sum,
     count_an_box,
@@ -38,7 +37,6 @@ from polysieve.sieve import (
     hit_exponent,
     nu_weight,
     optimal_d,
-    pair_weights,
     qf_value,
     selberg_weights,
     verify_modified_selberg,
@@ -96,8 +94,11 @@ class TestSelbergWeights:
             assert diagonalization_sum(w) == Fraction(1, w.C)
 
     def test_lambda_one_forced(self):
+        # a weight vector that breaks lambda_1 = 1 cannot be built at all
         with pytest.raises(ValueError):
             SieveWeights(2, 2, {1: Fraction(2)}, {})
+        with pytest.raises(ValueError):
+            SieveWeights(4, 3, {1: Fraction(0), 2: Fraction(1)}, {})
 
 
 class TestNuWeight:
@@ -149,6 +150,12 @@ class TestNuWeight:
                 nu_weight(f, p, n)
 
 
+def local_block(nu: Fraction) -> np.ndarray:
+    """The 2x2 block [[1, nu], [nu, nu]] that one prime adds to the Gram
+    matrix of Q_f, in floats for the eigenvalues."""
+    return np.array([[1.0, float(nu)], [float(nu), float(nu)]])
+
+
 class TestLocalMatrix:
     def test_three_forms_psd_and_eigenvalues(self):
         cases = {
@@ -157,14 +164,15 @@ class TestLocalMatrix:
             Fraction(1, 2): [(3 + math.sqrt(5)) / 4, (3 - math.sqrt(5)) / 4],
         }
         for nu, eigs in cases.items():
-            m = LocalMatrix.from_nu(2, nu)
-            assert m.is_psd()
-            arr = np.array([[float(x) for x in row] for row in m.entries])
-            got = sorted(np.linalg.eigvalsh(arr), reverse=True)
+            # PSD exactly: diagonal 1 and nu, determinant nu - nu^2
+            assert nu >= 0 and nu - nu * nu >= 0
+            got = sorted(np.linalg.eigvalsh(local_block(nu)), reverse=True)
             assert np.allclose(got, sorted(eigs, reverse=True))
 
     def test_not_psd_outside_unit_interval(self):
-        assert not LocalMatrix.from_nu(2, Fraction(3, 2)).is_psd()
+        nu = Fraction(3, 2)
+        assert nu - nu * nu < 0
+        assert np.linalg.eigvalsh(local_block(nu)).min() < 0
 
 
 class TestQf:
@@ -204,18 +212,18 @@ class TestQf:
         # keys are the lcms of the support, ascending; the weights add up
         # to (sum_d lambda_d)^2
         w = selberg_weights(10)
-        pw = pair_weights(w)
+        pw = w.pair_weights
         assert list(pw) == sorted({math.lcm(a, b) for a in w.lam for b in w.lam})
         assert sum(pw.values()) == sum(w.lam.values()) ** 2
 
     def test_pair_weights_built_once(self):
         # one read-only mapping per SieveWeights, shared by every Q_f
         w = selberg_weights(10)
-        pw = pair_weights(w)
-        assert pair_weights(w) is pw
+        pw = w.pair_weights
+        assert w.pair_weights is pw
         with pytest.raises(TypeError):
             pw[1] = Fraction(0)
-        assert dict(pw) == dict(pair_weights(selberg_weights(10)))
+        assert dict(pw) == dict(selberg_weights(10).pair_weights)
 
     def test_gram_psd_random(self):
         # the Gram matrix of Q_f over squarefree d <= D, entries
@@ -251,7 +259,7 @@ class TestVerify:
         # (3, 3, 4) monic: a CRT-split contraction per pair modulus, the
         # p = 2, 3 table builds and the left side's box
         phi = SmoothWeight.box_calibrated(3)
-        moduli = pair_weights(selberg_weights(4))
+        moduli = selberg_weights(4).pair_weights
         est = (sum(contraction_cost(m, 3) for m in moduli)
                + table_build_cost(2, 3) + table_build_cost(3, 3)
                + (2 * phi.lattice_radius(3, 1e-16) + 1) ** 3)
@@ -274,7 +282,7 @@ class TestVerify:
         # less is refused.  The degree-11 box may leave int64.  Both refuse
         # before the right side builds any table.
         phi = SmoothWeight.box_calibrated(4)
-        est = (sum(contraction_cost(m, 4) for m in pair_weights(selberg_weights(6)))
+        est = (sum(contraction_cost(m, 4) for m in selberg_weights(6).pair_weights)
                + sum(table_build_cost(p, 4) for p in (2, 3, 5)))
         assert (est, phi.lattice_radius(3, 1e-16)) == (163_048, 12)
         est += 25 ** 4 * 16
@@ -347,11 +355,6 @@ class TestVerify:
             assert ((rep.lhs, rep.rhs, rep.margin, rep.radius)
                     == (fresh.lhs, fresh.rhs, fresh.margin, fresh.radius))
         assert len(scans) == 6
-
-    def test_strict_mode_raises_on_fabricated_violation(self):
-        # a weight vector that breaks lambda_1 = 1 cannot be built at all
-        with pytest.raises(ValueError):
-            SieveWeights(4, 3, {1: Fraction(0), 2: Fraction(1)}, {})
 
 
 class TestExponents:

@@ -27,8 +27,16 @@ from polysieve.zpoly import (
     gal_in_an,
     ldisc,
     square_disc_scan,
-    tau_mu_sqfree,
 )
+
+
+def scan_pairs(n, R, monic):
+    """`square_disc_scan` as [(row, disc)] with each row a tuple of Python
+    ints, after checking the arrays' types and shapes."""
+    coeffs, discs, zeros = square_disc_scan(n, R, monic)
+    assert coeffs.dtype == discs.dtype == np.int64
+    assert coeffs.shape == (len(discs), n + 1)
+    return [(tuple(row), d) for row, d in zip(coeffs.tolist(), discs.tolist())], zeros
 
 
 def disc2(a, b, c):
@@ -220,11 +228,11 @@ class TestReductionCriterion:
 
 class TestAnObstruction:
     def test_square_disc_never_odd_reduction(self):
-        survivors, _ = square_disc_scan(3, 8, monic=True)
-        assert survivors, "expected some square discriminants in the box"
+        rows, _discs, _ = square_disc_scan(3, 8, monic=True)
+        assert len(rows), "expected some square discriminants in the box"
         from polysieve._ints import primes_up_to
 
-        for coeffs, _d in survivors:
+        for coeffs in rows.tolist():
             for p in primes_up_to(50):
                 assert mobius_pn(fp_normalize(coeffs, p), 3) != 1  # (-1)^(n+1) = +1 at n=3
 
@@ -256,7 +264,7 @@ class TestEnumerateBox:
 
 class TestSquareDiscScan:
     def test_cubic_fastpath_matches_generic(self):
-        fast, zeros_fast = square_disc_scan(3, 4, monic=True)
+        fast, zeros_fast = scan_pairs(3, 4, monic=True)
         slow_survivors = []
         slow_zeros = 0
         for f in enumerate_box(3, 4, monic=True):
@@ -269,7 +277,7 @@ class TestSquareDiscScan:
         assert zeros_fast == slow_zeros
 
     def test_general_fastpath_matches_generic(self):
-        fast, zeros_fast = square_disc_scan(3, 2, monic=False)
+        fast, zeros_fast = scan_pairs(3, 2, monic=False)
         slow = [(f, _disc_sylvester(f)) for f in enumerate_box(3, 2, monic=False)]
         slow_survivors = [(c, d) for c, d in slow if d > 0 and math.isqrt(d) ** 2 == d]
         assert fast == slow_survivors
@@ -283,7 +291,7 @@ class TestSquareDiscScan:
     def test_bareiss_blocks_match_enumeration(self, monkeypatch, n, R, monic, block):
         if block:  # many small blocks: order must survive the block seams
             monkeypatch.setattr(zpoly, "_BLOCK", block)
-        got, zeros = square_disc_scan(n, R, monic)
+        got, zeros = scan_pairs(n, R, monic)
         want = []
         want_zeros = 0
         for f in enumerate_box(n, R, monic):
@@ -364,6 +372,14 @@ class TestDiscDomain:
         assert zpoly.box_cost(7, 1, False) == (3 ** 7 * 2, 3 ** 7 * 2 * 13 ** 3)
 
 
+def tau_omega_sides(d1, d2):
+    """Both sides of 2^omega([d1,d2]) = tau(d1) tau(d2) / tau((d1,d2)) for
+    squarefree d1, d2; the right side's division must be exact."""
+    num, den = tau(d1) * tau(d2), tau(math.gcd(d1, d2))
+    assert num % den == 0, (d1, d2)
+    return 2 ** omega(math.lcm(d1, d2)), num // den
+
+
 class TestMultiplicative:
     def test_omega_values(self):
         assert omega(12) == 2
@@ -375,24 +391,17 @@ class TestMultiplicative:
             omega(0)
 
     def test_tau_mu_identity_examples(self):
-        rec = tau_mu_sqfree(6, 10)
-        assert rec.lhs == rec.rhs == 8
-        rec = tau_mu_sqfree(1, 1)
-        assert rec.lhs == rec.rhs == 1
-        rec = tau_mu_sqfree(7, 7)
-        assert rec.lhs == rec.rhs == 2
-
-    def test_tau_mu_rejects_square(self):
-        with pytest.raises(ValueError):
-            tau_mu_sqfree(4, 3)
+        assert tau_omega_sides(6, 10) == (8, 8)
+        assert tau_omega_sides(1, 1) == (1, 1)
+        assert tau_omega_sides(7, 7) == (2, 2)
 
     def test_identity_range(self):
         from polysieve._ints import squarefree_up_to
 
         for d1 in squarefree_up_to(60):
             for d2 in squarefree_up_to(60):
-                rec = tau_mu_sqfree(d1, d2)
-                assert rec.lhs == rec.rhs
+                lhs, rhs = tau_omega_sides(d1, d2)
+                assert lhs == rhs
 
     def test_mobius_tau_basics(self):
         assert [mobius(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
