@@ -94,11 +94,8 @@ class TestSelbergWeights:
             assert diagonalization_sum(w) == Fraction(1, w.C)
 
     def test_lambda_one_forced(self):
-        # a weight vector that breaks lambda_1 = 1 cannot be built at all
         with pytest.raises(ValueError):
             SieveWeights(2, 2, {1: Fraction(2)}, {})
-        with pytest.raises(ValueError):
-            SieveWeights(4, 3, {1: Fraction(0), 2: Fraction(1)}, {})
 
 
 class TestNuWeight:
@@ -355,6 +352,12 @@ class TestVerify:
             assert ((rep.lhs, rep.rhs, rep.margin, rep.radius)
                     == (fresh.lhs, fresh.rhs, fresh.margin, fresh.radius))
         assert len(scans) == 6
+
+    def test_strict_mode_raises_on_fabricated_violation(self):
+        # a fabricated weight vector that breaks lambda_1 = 1 cannot be built,
+        # so no report with it can reach the margin check
+        with pytest.raises(ValueError):
+            SieveWeights(4, 3, {1: Fraction(0), 2: Fraction(1)}, {})
 
 
 class TestExponents:
