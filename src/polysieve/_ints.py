@@ -182,8 +182,9 @@ def _is_prime_int64(c: np.ndarray) -> np.ndarray:
     return ok.all(axis=0)
 
 
-def omega_batch(values: np.ndarray, track_squarefree: bool = False):
-    """Vectorized distinct-prime counts for an array of nonzero int64 values.
+def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized distinct-prime counts and squarefree flags for an array of
+    nonzero int64 values.
 
     Factors each distinct |v| once, by trial division with all primes up to
     cbrt(max |v|); each remaining cofactor then has at most two prime
@@ -191,13 +192,12 @@ def omega_batch(values: np.ndarray, track_squarefree: bool = False):
     p*q.  Cofactors below INT64_MR_LIMIT = 2**31 take the vectorized int64
     Miller-Rabin over bases 2, 7, 61, deterministic below 4,759,123,141
     (Jaeschke 1993); larger ones take the scalar `is_prime`.  Returns the
-    omega array in the input's shape, or a pair (omega, squarefree_mask)
-    when track_squarefree is set.
+    pair (omega, squarefree_mask), both in the input's shape; the mask
+    comes from the same trial division at no extra pass.
     """
     vals = np.abs(np.asarray(values, dtype=np.int64))
     if vals.size == 0:
-        empty = np.zeros(vals.shape, dtype=np.int64)
-        return (empty, np.ones(vals.shape, dtype=bool)) if track_squarefree else empty
+        return np.zeros(vals.shape, dtype=np.int64), np.ones(vals.shape, dtype=bool)
     if np.any(vals == 0):
         raise ValueError("omega_batch: zero entry")
     rem, inv = np.unique(vals.ravel(), return_inverse=True)
@@ -234,7 +234,4 @@ def omega_batch(values: np.ndarray, track_squarefree: bool = False):
     for i in np.nonzero(cof >= INT64_MR_LIMIT)[0]:
         prime[i] = is_prime(int(cof[i]))
     counts[idx] += np.where(prime, 1, 2)
-    counts = counts[inv].reshape(vals.shape)
-    if track_squarefree:
-        return counts, sqfree[inv].reshape(vals.shape)
-    return counts
+    return counts[inv].reshape(vals.shape), sqfree[inv].reshape(vals.shape)

@@ -232,7 +232,7 @@ def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
         if not live.any():
             continue
         vals = np.abs(discs[live])
-        om, sqfree = _ints.omega_batch(vals, track_squarefree=True)
+        om, sqfree = _ints.omega_batch(vals)
         ok = om <= r
         if squarefree_only:
             ok &= sqfree

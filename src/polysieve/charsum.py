@@ -122,6 +122,7 @@ class WeightTable:
     def dft(self) -> np.ndarray:
         if self._dft is None:
             self._dft = np.fft.ifftn(self.values)
+            self._dft.flags.writeable = False
         return self._dft
 
     def zero_phase(self) -> complex:
@@ -242,23 +243,25 @@ def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
         if n < 3:
             warnings.warn(f"mobius-half weight is intended for n >= 3 (got n={n})",
                           stacklevel=2)
-        mon = _monic_table(p, n, rule)
-        if mode == MONIC:
-            return WeightTable(p, n, mode, rule, mon)
-        vals = np.full((p,) * (n + 1), 0.5)
-        base = np.arange(p)
-        for c in range(1, p):
-            inv = pow(c, -1, p)
-            s = (inv * base) % p
-            vals[..., c] = mon[np.ix_(*([s] * n))]
-        return WeightTable(p, n, mode, rule, vals)
-    if rule == RULE_SQUAREFREE:
+        vals = _monic_table(p, n, rule)
+        if mode == GENERAL:
+            mon, vals = vals, np.full((p,) * (n + 1), 0.5)
+            base = np.arange(p)
+            for c in range(1, p):
+                inv = pow(c, -1, p)
+                s = (inv * base) % p
+                vals[..., c] = mon[np.ix_(*([s] * n))]
+    elif rule == RULE_SQUAREFREE:
         if mode != MONIC:
             raise ValueError("the squarefree-complement rule is monic-only")
         if n < 2:
             raise ValueError("squarefree-complement weight needs n >= 2")
-        return WeightTable(p, n, mode, rule, _monic_table(p, n, rule))
-    raise ValueError(f"unknown weight rule {rule!r}")
+        vals = _monic_table(p, n, rule)
+    else:
+        raise ValueError(f"unknown weight rule {rule!r}")
+    # every caller shares the cached table: one write would change them all
+    vals.flags.writeable = False
+    return WeightTable(p, n, mode, rule, vals)
 
 
 def decay_alpha(rule: str, n: int) -> float:
@@ -274,11 +277,6 @@ def decay_alpha(rule: str, n: int) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
-
-def fft_cost(size: int) -> int:
-    """Modelled cost of a full transform of a table of this size."""
-    return size * math.ceil(math.log2(size))
-
 
 def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.ndarray]]:
     """[(p, T_p)] over the primes p | d, where T_p is the cached transform
@@ -433,6 +431,13 @@ def table_build_cost(p: int, n: int) -> int:
     return p ** n * n ** 3 * math.ceil(math.log2(p))
 
 
+def table_cost(p: int, n: int, mode: str) -> int:
+    """Modelled cost of a transformed weight table: `table_build_cost` plus
+    size * ceil(log2 size) for the full transform of its p^dim entries."""
+    size = p ** space_dim(n, mode)
+    return table_build_cost(p, n) + size * math.ceil(math.log2(size))
+
+
 def _dense_product(M: int, dim: int, tables: list[tuple[int, np.ndarray]], dtype) -> np.ndarray:
     """prod_p table_p[x mod p] over x in (Z/M)^dim, for primes p | M."""
     out = np.ones((M,) * dim, dtype=dtype)
@@ -512,8 +517,7 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
     dim = space_dim(n, mode)
-    cost = 2 * contraction_cost(d, dim) + sum(
-        table_build_cost(p, n) + fft_cost(p ** dim) for p in prime_factors(d))
+    cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in prime_factors(d))
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"poisson check at d={d} (two contractions, {dim} coordinates, "

@@ -36,10 +36,6 @@ def _csv_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -64,7 +60,7 @@ _FLAGS = {
     "D": (_csv_ints, "comma list of sieve levels"),
     "d": (_csv_ints, "comma list of squarefree moduli"),
     "r": (_csv_ints, "comma list of prime-factor caps"),
-    "cn": (_fraction, "field-count exponent c_n"),
+    "cn": (Fraction, "field-count exponent c_n"),
     "kind": (str, "which box count"),
     "mode": (str, "polynomial family"),
     "rule": (str, "local weight rule"),
@@ -152,9 +148,7 @@ def cmd_fourier_scan(resolved: dict) -> int:
             raise _Usage("the squarefree rule is monic-only")
         if not is_prime(p):  # the price below takes log2(p)
             raise _Usage(f"weight tables need a prime modulus, got p={p}")
-        # classifying the p^n monic polynomials, then the FFT
-        cost = (charsum.table_build_cost(p, n)
-                + charsum.fft_cost(p ** charsum.space_dim(n, mode)))
+        cost = charsum.table_cost(p, n, mode)
         if cost > resolved["budget"]:
             raise BudgetExceededError(
                 f"building and transforming the p={p}, n={n} {mode} table "

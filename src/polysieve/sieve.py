@@ -150,23 +150,21 @@ def _an_survivors(n: int, R: int, monic: bool,
     order, and the number of vanishing discriminants."""
     coeffs, discs, zero_count = square_disc_scan(n, R, monic, budget=budget)
     # rows end with a_n (1 when monic), so this is |LDisc| in both modes
-    om = _ints.omega_batch(np.abs(coeffs[:, -1] * discs))
+    om, _sqfree = _ints.omega_batch(np.abs(coeffs[:, -1] * discs))
     return (coeffs[:, :n] if monic else coeffs), om, zero_count
 
 
 @lru_cache(maxsize=None)
 def _an_weighted_lattice_sum(n: int, mode: str, phi: SmoothWeight, H: int,
-                             budget: int | None) -> tuple[float, int]:
-    """Left side: sum over square-discriminant lattice polynomials of
-    phi(f/H) / 2^omega(LDisc f), truncated where the Gaussian is below
-    machine precision (the discarded terms are nonnegative).  It does not
-    depend on the sieve level, so it is cached: the cells of one H and
-    several D scan their box once (SmoothWeight is frozen, so equal
-    weights share an entry)."""
-    R = phi.lattice_radius(H, 1e-16)
-    free, om, _zero = _an_survivors(n, R, mode == MONIC, budget)
+                             R: int) -> float:
+    """Left side: sum over the square-discriminant polynomials of the
+    height-R box, charged by the caller, of phi(f/H) / 2^omega(LDisc f);
+    past R the Gaussian is below machine precision (the discarded terms are
+    nonnegative).  Independent of the sieve level, so cached: the cells of
+    one H and several D scan their box once (equal weights share an entry)."""
+    free, om, _zero = _an_survivors(n, R, mode == MONIC, None)
     gauss = phi.amplitude * phi.coord_profile(free / H).prod(axis=1)
-    return float((gauss * 0.5 ** om).sum()), R
+    return float((gauss * 0.5 ** om).sum())
 
 
 def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
@@ -185,6 +183,9 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
 
     The report is the verdict: the inequality holds when its margin
     rhs - lhs is at least -MARGIN_TOLERANCE.
+
+    Each contraction, table build and the left side's box is charged as if
+    nothing were cached, so a refusal never depends on which cells ran before.
     """
     dim = space_dim(n, mode)
     if D < 1 or H < 1 or n < 1:
@@ -194,7 +195,8 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     pair_weight = selberg_weights(D).pair_weights
     # the left side's box: refused here, before any weight table, when its
     # discriminants could leave the int64 range
-    box = box_cost(n, phi.lattice_radius(H, 1e-16), mode == MONIC)[1]
+    radius = phi.lattice_radius(H, 1e-16)
+    box = box_cost(n, radius, mode == MONIC)[1]
     if budget is not None:
         est = (sum(contraction_cost(m, dim) for m in pair_weight)
                + sum(table_build_cost(p, n) for p in _ints.primes_up_to(D))
@@ -204,7 +206,7 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     rhs = 0.0
     for m, w in pair_weight.items():
         rhs += float(w) * lattice_weight_sum(m, n, mode, "mobius-half", phi, H)
-    lhs, radius = _an_weighted_lattice_sum(n, mode, phi, H, budget)
+    lhs = _an_weighted_lattice_sum(n, mode, phi, H, radius)
     return VerifyReport(n, H, D, mode, lhs, rhs, rhs - lhs, radius,
                         time.perf_counter() - start)
 

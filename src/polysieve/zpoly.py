@@ -135,16 +135,12 @@ def gal_in_an(f: Sequence[int]) -> bool:
     return d != 0 and _ints.is_perfect_square(d)
 
 
-def enumerate_box(n: int, H: int, monic: bool = False,
-                  budget: int | None = DEFAULT_BOX_BUDGET) -> Iterator[tuple[int, ...]]:
+def enumerate_box(n: int, H: int, monic: bool = False) -> Iterator[tuple[int, ...]]:
     """Coefficient tuples (a_0, ..., a_n) of all lattice polynomials of
     height <= H: the monic slice fixes a_n = 1, the general box requires
-    a_n != 0.  Constant term varies fastest."""
+    a_n != 0.  Constant term varies fastest; scans charge it by `box_cost`."""
     if n < 1 or H < 0:
         raise ValueError("need n >= 1 and H >= 0")
-    count = _box_points(n, H, monic)
-    if budget is not None and count > budget:
-        raise BudgetExceededError(f"box of {count} lattice points exceeds budget {budget}")
     span = range(-H, H + 1)
     for lead in [1] if monic else [a for a in span if a != 0]:
         for vec in product(span, repeat=n):
@@ -189,11 +185,6 @@ def _ldisc_abs_bound(n: int, R: int, monic: bool) -> int:
     return total if monic else total * R
 
 
-def _box_points(n: int, R: int, monic: bool) -> int:
-    """Lattice points of the height-R box: a_n = 1 when monic, else a_n != 0."""
-    return (2 * R + 1) ** n * (1 if monic else 2 * R)
-
-
 def _point_cost(n: int) -> int:
     """Budget units per box point: 1 on the vectorized cubic route, the
     number of terms of the closed form for the other n <= 6, and the cost
@@ -215,7 +206,7 @@ def box_cost(n: int, R: int, monic: bool) -> tuple[int, int]:
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |LDisc| may reach "
             f"{bound}, beyond the int64 range")
-    points = _box_points(n, R, monic)
+    points = (2 * R + 1) ** n * (1 if monic else 2 * R)
     return points, points * _point_cost(n)
 
 
@@ -238,7 +229,7 @@ def _point_blocks(n: int, R: int, monic: bool, points: int):
     # flat lists of ints: no per-polynomial object outlives its step, so
     # a block adds nothing for the cyclic garbage collector to scan
     coeffs, discs = [], []
-    for i, f in enumerate(enumerate_box(n, R, monic, budget=None), 1):
+    for i, f in enumerate(enumerate_box(n, R, monic), 1):
         coeffs.extend(f[:dim])
         discs.append(discriminant(f))
         if i % _BLOCK == 0 or i == points:

@@ -99,6 +99,22 @@ class TestWeightTables:
             weight_table(3, 2, MONIC, "mobius-half")
         weight_table.cache_clear()
 
+    def test_cached_tables_are_read_only(self):
+        # weight_table is cached and shared: a write into its values or its
+        # transform raises instead of changing every later table and sum
+        oracles = {MONIC: ddf_monic_table(3, 3, "mobius-half"),
+                   GENERAL: ddf_general_table(3, 3)}
+        for mode, oracle in oracles.items():
+            w = weight_table(3, 3, mode, "mobius-half")
+            for arr in (w.values, w.dft()):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 7
+            assert np.array_equal(weight_table(3, 3, mode, "mobius-half").values, oracle)
+        # an array a caller wraps stays the caller's
+        own = np.zeros((3,) * 3)
+        WeightTable(3, 3, MONIC, "custom", own)
+        own[0, 0, 0] = 1.0
+
     def test_table_size_cap(self):
         # 61^5 = 8.4e8 entries: refused before the monic table is built
         with pytest.raises(BudgetExceededError):

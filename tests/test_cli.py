@@ -227,6 +227,17 @@ class TestExponents:
         assert table["hit_exponent_general"] == "7/2"
         assert table["field_count_exponent"] == "3/5"
 
+    def test_bad_fraction_exits_two(self, tmp_path, capsys):
+        # --cn is read by Fraction on the flag and the config path alike
+        with pytest.raises(SystemExit) as exc:
+            main(["exponents", "--cn", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("cn=x\n")
+        assert main(["exponents", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestPoissonCheck:
     def test_small_grid(self, tmp_path):

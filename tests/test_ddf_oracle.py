@@ -279,24 +279,34 @@ class TestMobius:
                     assert mobius_fp(FpPoly(p, h)) == mu[f.coeffs] * mu[g.coeffs]
 
     def test_multiplicative_exhaustive_f5(self):
-        from ddf_oracle import _gcd, _mobius
+        from ddf_oracle import _gcd, _mobius, _monic
 
         p = 5
         polys = [vec + (c,) for d in range(4)
                  for vec in itertools.product(range(p), repeat=d)
                  for c in range(1, p)]
         mu = {f: _mobius(f, p) for f in polys}
+        # gcd(c f, d g) is the gcd of the monic parts: one gcd per monic pair
+        monic = {f: _monic(f, p) for f in polys}
+        coprime: dict = {}
         prod_mu: dict = {}
+        pairs = 0
         for f in polys:
             muf = mu[f]
             for g in polys:
-                if len(_gcd(f, g, p)) != 1:
+                key = (monic[f], monic[g])
+                ok = coprime.get(key)
+                if ok is None:
+                    ok = coprime[key] = len(_gcd(*key, p)) == 1
+                if not ok:
                     continue
                 h = _mul(f, g, p)
                 m = prod_mu.get(h)
                 if m is None:
                     m = prod_mu[h] = _mobius(h, p)
                 assert m == muf * mu[g]
+                pairs += 1
+        assert (len(polys), len(coprime), pairs) == (624, 156 ** 2, 312_496)
 
 
 class TestOddPoly:

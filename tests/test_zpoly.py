@@ -257,9 +257,15 @@ class TestEnumerateBox:
         assert all(type(c) is int for f in polys for c in f)
         assert all(max(map(abs, f)) <= 2 for f in polys)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_box(3, 50, monic=True, budget=1000))
+    def test_budget(self, monkeypatch):
+        # the walker has no cap of its own: a scan charges the (3, 50) monic
+        # box through box_cost and refuses it before any block
+        def no_work(*_a, **_k):
+            raise AssertionError("a block was computed")
+
+        monkeypatch.setattr(zpoly, "_cubic_blocks", no_work)
+        with pytest.raises(BudgetExceededError, match="over budget 1000"):
+            square_disc_scan(3, 50, True, budget=1000)
 
 
 class TestSquareDiscScan:
