@@ -186,21 +186,35 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized distinct-prime counts and squarefree flags for an array of
     nonzero int64 values.
 
-    Factors each distinct |v| once, by trial division with all primes up to
-    cbrt(max |v|); each remaining cofactor then has at most two prime
-    factors and is resolved exactly as 1, p^2 (exact square test), p or
-    p*q.  Cofactors below INT64_MR_LIMIT = 2**31 take the vectorized int64
-    Miller-Rabin over bases 2, 7, 61, deterministic below 4,759,123,141
-    (Jaeschke 1993); larger ones take the scalar `is_prime`.  Returns the
-    pair (omega, squarefree_mask), both in the input's shape; the mask
-    comes from the same trial division at no extra pass.
+    Sorts the |v| and factors each distinct one once per call, by trial
+    division with all primes up to cbrt(max |v|).  After the first division
+    by p, p is divided out again only from the values it divided, a set
+    that shrinks each step.  Each remaining cofactor then has at most two
+    prime factors and is resolved exactly as 1, p^2 (exact square test), p
+    or p*q.  Cofactors below INT64_MR_LIMIT = 2**31 take the vectorized
+    int64 Miller-Rabin over bases 2, 7, 61, deterministic below
+    4,759,123,141 (Jaeschke 1993); larger ones take the scalar `is_prime`.
+    Returns the pair (omega, squarefree_mask), both in the input's shape;
+    the mask comes from the same trial division at no extra pass.  Memory:
+    a few int64 arrays the size of the input, and per Miller-Rabin
+    cofactor a few int64 rows of three bases.
     """
-    vals = np.abs(np.asarray(values, dtype=np.int64))
+    shape = np.shape(values)
+    vals = np.abs(np.asarray(values, dtype=np.int64)).ravel()
     if vals.size == 0:
-        return np.zeros(vals.shape, dtype=np.int64), np.ones(vals.shape, dtype=bool)
-    if np.any(vals == 0):
+        return np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=bool)
+    order = vals.argsort()
+    vals = vals[order]
+    if vals[0] == 0:
         raise ValueError("omega_batch: zero entry")
-    rem, inv = np.unique(vals.ravel(), return_inverse=True)
+    # factor each distinct value once; its run of equal values shares the result
+    new = np.empty(vals.size, dtype=bool)
+    new[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    rem = vals[starts]
+    runs = np.diff(starts, append=vals.size)
+    del vals, new, starts
     counts = np.zeros(rem.shape, dtype=np.int64)
     sqfree = np.ones(rem.shape, dtype=bool)
     bound = max(2, round(int(rem[-1]) ** (1 / 3)) + 2)
@@ -212,13 +226,17 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not hit.any():
             continue
         counts += hit
+        # divide p out again only where it divided: the set shrinks each step
+        idx = np.flatnonzero(hit)
+        q = q[idx]
         while True:
-            np.copyto(rem, q, where=hit)
-            q = rem // p
-            hit = q * p == rem
-            if not hit.any():
+            rem[idx] = q
+            sub = q // p
+            again = sub * p == q
+            if not again.any():
                 break
-            sqfree &= ~hit
+            idx, q = idx[again], sub[again]
+            sqfree[idx] = False
     # Cofactors now have no prime factor <= bound > cbrt(max): 1, p, p^2 or
     # p*q, and all are odd because 2 is always trial-divided.
     square = square_mask(rem) & (rem > 1)
@@ -226,6 +244,7 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqfree &= ~square
     idx = np.nonzero((rem > 1) & ~square)[0]
     cof = rem[idx]
+    del rem
     # A composite cofactor is at least (bound + 1)**2, so smaller ones are prime.
     prime = cof <= bound * (bound + 2)
     test = ~prime & (cof < INT64_MR_LIMIT)
@@ -234,4 +253,9 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in np.nonzero(cof >= INT64_MR_LIMIT)[0]:
         prime[i] = is_prime(int(cof[i]))
     counts[idx] += np.where(prime, 1, 2)
-    return counts[inv].reshape(vals.shape), sqfree[inv].reshape(vals.shape)
+    # each value's result fills its run of the sorted input, in input order
+    om = np.empty(order.size, dtype=np.int64)
+    om[order] = np.repeat(counts, runs)
+    flags = np.empty(order.size, dtype=bool)
+    flags[order] = np.repeat(sqfree, runs)
+    return om.reshape(shape), flags.reshape(shape)

@@ -62,16 +62,19 @@ _CHUNK = 1 << 15
 
 def _group_starts(keys: np.ndarray, shift: int) -> np.ndarray:
     """Indices of the sorted keys where keys >> shift changes: the starts of
-    the groups of equal |Disc|, found in passes of _CHUNK keys."""
-    starts, prev = [], -1
+    the groups of equal |Disc|, marked in passes of _CHUNK keys into one
+    bool per key.  Starts gathered per pass and then joined are heap-sized
+    pieces, and whether their ~20 MB (cubic, H = 30) went back to the
+    system after the join varied with the process's environment size:
+    peak RSS 163 or 182 MB."""
+    new = np.empty(keys.size, dtype=bool)
+    prev = -1
     for i in range(0, keys.size, _CHUNK):
         vals = keys[i:i + _CHUNK] >> shift
-        new = np.empty(vals.size, dtype=bool)
-        new[0] = vals[0] != prev
-        np.not_equal(vals[1:], vals[:-1], out=new[1:])
-        starts.append(np.flatnonzero(new) + i)
+        new[i] = vals[0] != prev
+        np.not_equal(vals[1:], vals[:-1], out=new[i + 1:i + vals.size])
         prev = vals[-1]
-    return np.concatenate(starts)
+    return np.flatnonzero(new)
 
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
@@ -88,7 +91,8 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     a_j + R and a point's weight is recomputed from its key after the sort.
     Keys are distinct, so equal |Disc| stay in enumeration order and their
     masses add up in that order.  Memory: one int64 key per box point, plus
-    the outputs and the group starts (three arrays per distinct |Disc|).
+    the outputs and the group starts (three arrays per distinct |Disc|),
+    and one bool per key while the groups are found.
     Domain: max |Disc| < 2^(63 - shift), checked on
     `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
     refused with BudgetExceededError."""
@@ -219,25 +223,51 @@ def min_admissible_r(n: int) -> int:
 # counting and exponents
 # ---------------------------------------------------------------------------
 
+# nonzero |Disc| per omega_batch call in count_almost_prime.  Each call
+# pays a fixed numpy cost per trial prime and Miller-Rabin step, which
+# dominated one call per slab.  2^14, not _CHUNK: on the almost-prime
+# benchmark (cubic boxes H = 20, 30; 2 vCPU, numpy 2.4.6) peak RSS went
+# 31.8 -> 33.1 MB (+4%) at 2^14, and to 34.3 MB (+8%) at 2^15.
+_OMEGA_GROUP = 1 << 14
+
+
 def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
                        budget: int | None = DEFAULT_BOX_BUDGET) -> int:
     """Number of monic height-H degree-n polynomials with nonzero
     discriminant having at most r distinct prime factors (optionally also
-    requiring the discriminant to be squarefree)."""
+    requiring the discriminant to be squarefree).
+
+    The nonzero |Disc| of consecutive slabs are joined into groups of at
+    least _OMEGA_GROUP values, and each group takes one `omega_batch` call,
+    so every value is factored in exactly one call and a |Disc| repeated
+    inside a group is factored once.  Memory: a group's int64 values,
+    twice while it is joined, and `omega_batch`'s working arrays for it."""
     if n < 2 or H < 1 or r < 0:
         raise ValueError("need n >= 2, H >= 1, r >= 0")
-    total = 0
-    for _coeffs, discs in _disc_blocks(n, H, True, budget):
-        live = discs != 0
-        if not live.any():
-            continue
-        vals = np.abs(discs[live])
+
+    def count(vals):
         om, sqfree = _ints.omega_batch(vals)
         ok = om <= r
         if squarefree_only:
             ok &= sqfree
-        total += int(np.count_nonzero(ok))
-    return total
+        return int(np.count_nonzero(ok))
+
+    # each group's results are freed before the next group is factored
+    return sum(map(count, _omega_groups(_disc_blocks(n, H, True, budget))))
+
+
+def _omega_groups(blocks):
+    """The nonzero |Disc| of consecutive blocks, joined into groups of at
+    least _OMEGA_GROUP values; the last group may be smaller."""
+    parts, size = [], 0
+    for _coeffs, discs in blocks:
+        parts.append(np.abs(discs[discs != 0]))
+        size += parts[-1].size
+        if size >= _OMEGA_GROUP:
+            group, parts, size = np.concatenate(parts), [], 0
+            yield group
+    if size:
+        yield np.concatenate(parts)
 
 
 def field_exponent(n: int, c_n) -> tuple[Fraction, Fraction]:

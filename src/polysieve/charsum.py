@@ -232,6 +232,8 @@ def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
+    if n < 1:
+        raise ValueError(f"weight tables need degree n >= 1, got n={n}")
     if not is_prime(p):
         raise ValueError(f"weight tables need a prime modulus, got p={p}")
     size = p ** space_dim(n, mode)

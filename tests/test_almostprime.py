@@ -10,10 +10,12 @@ import math
 import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from polysieve import _ints, almostprime
 from polysieve._ints import INT64_MR_LIMIT, is_squarefree, omega, omega_batch
 from polysieve.charsum import SmoothWeight
 from polysieve.errors import BudgetExceededError
@@ -371,14 +373,32 @@ class TestCountAlmostPrime:
     def test_oracle_h12(self):
         # |Disc| reaches ~10^6, so cofactors above the trial-division bound
         # go through the int64 Miller-Rabin; oracle: Bareiss + scalar omega.
-        scalar = [(omega(d), is_squarefree(d))
-                  for d in map(discriminant, enumerate_box(3, 12, monic=True))
-                  if d != 0]
-        for r in range(5):
-            for squarefree_only in (False, True):
-                want = sum(1 for o, sf in scalar
-                           if o <= r and (sf or not squarefree_only))
-                assert count_almost_prime(3, 12, r, squarefree_only) == want
+        # The whole box (15,625 points) is one omega_batch group.
+        assert_counts_match_h12_oracle()
+
+    @pytest.mark.parametrize("group", [1, 700])
+    def test_oracle_h12_small_groups(self, monkeypatch, group):
+        # 1: one call per slab of 625 points; 700: two slabs per call, so
+        # group edges fall inside the box and the last group is one slab
+        monkeypatch.setattr(almostprime, "_OMEGA_GROUP", group)
+        assert_counts_match_h12_oracle()
+
+    @pytest.mark.parametrize("H, nonzero", [(20, 68_808), (30, 226_808)])
+    def test_every_nonzero_disc_factored_once(self, monkeypatch, H, nonzero):
+        # the input sizes of omega_batch, recorded as perfbench's tracer
+        # records ints.omega_values (295,616 on the almost-prime workload)
+        sizes = []
+
+        def recording(vals):
+            sizes.append(vals.size)
+            return omega_batch(vals)
+
+        monkeypatch.setattr(_ints, "omega_batch", recording)
+        count_almost_prime(3, H, 3)
+        assert sum(sizes) == nonzero
+        assert nonzero == sum(int(np.count_nonzero(d))
+                              for _c, d in _disc_blocks(3, H, True, None))
+        assert min(sizes[:-1]) >= almostprime._OMEGA_GROUP
 
     def test_stability_small(self):
         c1 = count_almost_prime(3, 15, 3)
@@ -387,6 +407,23 @@ class TestCountAlmostPrime:
         r2 = c2 / (30 ** 3 / math.log(30))
         assert r1 > 0 and r2 > 0
         assert max(r1, r2) / min(r1, r2) < 2
+
+
+@lru_cache(maxsize=None)
+def h12_oracle():
+    """(omega, squarefree) of every nonzero Disc in the monic cubic box of
+    height 12, by Bareiss and scalar trial division."""
+    return [(omega(d), is_squarefree(d))
+            for d in map(discriminant, enumerate_box(3, 12, monic=True))
+            if d != 0]
+
+
+def assert_counts_match_h12_oracle():
+    for r in range(5):
+        for squarefree_only in (False, True):
+            want = sum(1 for o, sf in h12_oracle()
+                       if o <= r and (sf or not squarefree_only))
+            assert count_almost_prime(3, 12, r, squarefree_only) == want
 
 
 def assert_matches_scalar(values):
@@ -445,6 +482,23 @@ class TestOmegaBatch:
         assert_matches_scalar(grid)
         om, flags = omega_batch(np.zeros((0, 3), dtype=np.int64))
         assert om.shape == flags.shape == (0, 3)
+
+    def test_high_prime_powers_and_mixed_exponents(self):
+        # each p is divided out to its full exponent, and only from the
+        # values it divides, with all of them in one call
+        powers = [2 ** 62, 3 ** 39, 5 ** 27, 7 ** 22]
+        mixed = [2 ** 31 * 3 ** 19, 2 * 3 ** 38]
+        # p^2 q^k next to squarefree values
+        near = [3 ** 2 * 5, 30, 5 ** 2 * 7 ** 9, 5 * 7 * 11, 2 ** 2 * 3 ** 17,
+                2 * 3 * 5 * 7 * 11 * 13, 11 ** 2 * 13 ** 5, 11 * 13 * 17 * 19,
+                7 ** 2 * 2 ** 40, 2 ** 40 - 87]
+        vals = powers + mixed + near
+        vals += [-v for v in vals]
+        assert_matches_scalar(vals)
+        om, flags = omega_batch(np.array(vals, dtype=np.int64))
+        assert om[:6].tolist() == [1, 1, 1, 1, 2, 2]
+        assert not flags[:6].any()
+        assert flags[7] and flags[9] and not flags[10]
 
     def test_matches_scalar(self):
         rng = np.random.default_rng(3)

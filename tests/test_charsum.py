@@ -115,6 +115,20 @@ class TestWeightTables:
         WeightTable(3, 3, MONIC, "custom", own)
         own[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_below_one_refused_before_build(self, monkeypatch, n):
+        # refused on n alone: before the prime, size and rule checks and
+        # before any polynomial is classified
+        def no_build(*_a, **_k):
+            raise AssertionError("a table build started")
+
+        monkeypatch.setattr(charsum, "_monic_table", no_build)
+        monkeypatch.setattr(charsum, "is_prime", no_build)
+        for mode, rule in ((MONIC, "mobius-half"), (GENERAL, "mobius-half"),
+                           (MONIC, "squarefree-complement")):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                weight_table(3, n, mode, rule)
+
     def test_table_size_cap(self):
         # 61^5 = 8.4e8 entries: refused before the monic table is built
         with pytest.raises(BudgetExceededError):

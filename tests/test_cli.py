@@ -113,6 +113,14 @@ class TestFourierScan:
         assert f"p={p}" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_degree_zero_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["fourier-scan", "--p", "3", "--n", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "n=0" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSieveVerify:
     def test_small_grid_passes(self, tmp_path):
@@ -268,6 +276,15 @@ class TestPoissonCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "squarefree" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_degree_zero_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        argv = ["poisson-check", "--n", "0", "--d", "5", "--H", "4", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "n=0" in err and "Traceback" not in err
         assert not out.exists()
 
 
