@@ -82,25 +82,43 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
     """Exact-discriminant histogram with smooth weights phi(f/H) over the
     monic lattice, truncated where the Gaussian falls below machine
-    precision (override with an explicit radius for hard boxes).
+    precision (override with an explicit radius for hard boxes).  H must be
+    a finite positive number and the radius >= 0.
 
-    Each nonzero |Disc| is packed with its box position into one int64
-    key, |Disc| << shift | slot, and the keys are sorted in place.  The
-    slot is the point's running index in enumeration order, zero
-    discriminants included, so its base-(2R+1) digits are the coordinates
-    a_j + R and a point's weight is recomputed from its key after the sort.
-    Keys are distinct, so equal |Disc| stay in enumeration order and their
-    masses add up in that order.  Memory: one int64 key per box point, plus
-    the outputs and the group starts (three arrays per distinct |Disc|),
-    and one bool per key while the groups are found.
+    Half the box is scanned.  g(x) = (-1)^n f(-x) is monic with the same
+    discriminant and maps a_j to (-1)^(n-j) a_j, and the product weight is
+    even in every coordinate (`coord_profile` is), so f and g carry equal
+    mass.  The scan starts the slowest coordinate a_{n-1} at 0 and gives a
+    point multiplicity 1 + s, where s is the sign of its first nonzero
+    flipped coordinate a_{n-1}, a_{n-3}, ... from the top: 2 for one
+    point of each pair, 0 for the other, 1 on the fixed points of the
+    flip (all flipped coordinates 0), which lie in the slab a_{n-1} = 0.
+
+    Each nonzero |Disc| of a kept point is packed with its box position
+    into one int64 key, |Disc| << shift | slot, and the keys are sorted in
+    place.  The slot is the point's running index in the full box's
+    enumeration order, zero discriminants included, so its base-(2R+1)
+    digits are the coordinates a_j + R and a point's weight and
+    multiplicity are recomputed from its key after the sort.  Keys are
+    distinct, so equal |Disc| stay in enumeration order and their masses,
+    multiplicity times weight (doubling is exact), add up in that order;
+    so does the Disc = 0 mass.  Memory: one int64 key per point of the
+    half box, (R+1)(2R+1)^(n-1), plus the outputs and the group starts
+    (three arrays per distinct |Disc|), and one bool per key while the
+    groups are found.  The budget is charged `box_cost` of the full box,
+    about twice what is scanned.
     Domain: max |Disc| < 2^(63 - shift), checked on
     `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
     refused with BudgetExceededError."""
     if n < 2:
         raise ValueError("need degree n >= 2")
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError(f"H must be a finite positive number, got {H!r}")
+    if radius is not None and radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius!r}")
     phi = phi if phi is not None else SmoothWeight()
     R = radius if radius is not None else phi.lattice_radius(H, 1e-16)
-    blocks = _disc_blocks(n, R, True, budget)  # refuses before allocating
+    blocks = _disc_blocks(n, R, True, budget, half=True)  # refuses before allocating
     width = 2 * R + 1
     points = width ** n
     shift = (points - 1).bit_length()
@@ -109,12 +127,26 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |Disc| may reach {bound}, too large "
             f"to pack with a {shift}-bit slot into an int64 sort key")
+    # the slab a_{n-1} = 0, where the half box starts, holds slots
+    # slab0 .. slab1 - 1
+    slab = width ** (n - 1)
+    slab0, slab1 = R * slab, (R + 1) * slab
     # every coordinate lies in [-R, R]: one profile entry per integer value,
     # and one table of products for the two low coordinates
     profile = phi.coord_profile(np.arange(-R, R + 1) / H)
     low = np.multiply.outer(profile, profile).ravel()
 
+    def flip_sign(slots):
+        # sign of the first nonzero flipped coordinate below a_{n-1}: the
+        # multiplicity is 1 + this sign in the slab a_{n-1} = 0
+        sign = np.zeros(slots.size, dtype=np.int64)
+        for j in range(n - 3, -1, -2):
+            digit = slots // width ** j % width - R
+            np.copyto(sign, np.sign(digit), where=sign == 0)
+        return sign
+
     def weights(slots):
+        # multiplicity times weight, for slots of multiplicity 1 or 2;
         # digit by digit, in the order a row product would multiply
         q = slots // (width * width)
         w = low[slots - q * (width * width)]
@@ -123,18 +155,27 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
             w *= profile[q - r * width]
             q = r
         w *= phi.amplitude
+        # doubled, then the fixed points, all in the slab a_{n-1} = 0,
+        # halved back: both steps are exact
+        w += w
+        fixed = np.flatnonzero(slots < slab1)
+        fixed = fixed[flip_sign(slots[fixed]) == 0]
+        w[fixed] *= 0.5
         return w
 
-    # one slot per box point, filled block by block: one large array that
-    # is freed whole, where a list of per-block arrays would leave the
-    # allocator's heap fragmented and resident
-    keys = np.empty(points, dtype=np.int64)
-    k = pos = 0
+    # one slot per point of the half box, filled block by block: one large
+    # array that is freed whole, where a list of per-block arrays would
+    # leave the allocator's heap fragmented and resident
+    keys = np.empty((R + 1) * slab, dtype=np.int64)
+    k, pos = 0, slab0
     zero_mass = 0.0
     for _coeffs, discs in blocks:
-        live = discs != 0
         slots = np.arange(pos, pos + discs.size)
         pos += discs.size
+        if slots[0] < slab1:  # drop the points of multiplicity 0
+            kept = (slots >= slab1) | (flip_sign(slots) >= 0)
+            slots, discs = slots[kept], discs[kept]
+        live = discs != 0
         zero_mass += float(weights(slots[~live]).sum())
         m = int(np.count_nonzero(live))
         out = keys[k:k + m]

@@ -15,11 +15,13 @@ closed forms.
 
 One enumerator, `_disc_blocks`, evaluates discriminants over a height box
 for every scan: the square-discriminant scan here and the almost-prime
-histogram and counts.  Cubic boxes run the n = 3 closed form vectorized
-over int64 slabs; other degrees walk the box point by point through
-`discriminant`, in blocks.  Values are int64 and there is no
-Python-integer fallback: a box whose bound `_ldisc_abs_bound` on |LDisc|
-reaches 2^63 is refused with BudgetExceededError before any work.
+histogram and counts; the histogram scans only the monic half box
+a_{n-1} >= 0 (`almostprime.build_disc_sequence` says why).  Cubic boxes
+run the n = 3 closed form vectorized over int64 slabs; other degrees walk
+the box point by point through `discriminant`, in blocks.  Values are
+int64 and there is no Python-integer fallback: a box whose bound
+`_ldisc_abs_bound` on |LDisc| reaches 2^63 is refused with
+BudgetExceededError before any work.
 """
 
 from __future__ import annotations
@@ -141,9 +143,15 @@ def enumerate_box(n: int, H: int, monic: bool = False) -> Iterator[tuple[int, ..
     a_n != 0.  Constant term varies fastest; scans charge it by `box_cost`."""
     if n < 1 or H < 0:
         raise ValueError("need n >= 1 and H >= 0")
+    yield from _box_tuples(n, H, monic, False)
+
+
+def _box_tuples(n: int, H: int, monic: bool, half: bool) -> Iterator[tuple[int, ...]]:
+    # half (monic only): a_{n-1}, the slowest coordinate, runs over 0..H
     span = range(-H, H + 1)
+    top = range(H + 1) if half else span
     for lead in [1] if monic else [a for a in span if a != 0]:
-        for vec in product(span, repeat=n):
+        for vec in product(top, *[span] * (n - 1)):
             yield vec[::-1] + (lead,)
 
 
@@ -210,10 +218,15 @@ def box_cost(n: int, R: int, monic: bool) -> tuple[int, int]:
     return points, points * _point_cost(n)
 
 
-def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
+def _disc_blocks(n: int, R: int, monic: bool, budget: int | None, *,
+                 half: bool = False):
     """Yield (coeffs, discs) int64 blocks over the height-R box: coeffs
     holds the free coordinates low to high (a_0..a_{n-1} monic, a_0..a_n
     general) in `enumerate_box` order, discs the exact discriminants.
+
+    half (monic only) starts the slowest coordinate a_{n-1} at 0 instead of
+    -R: the box points from the slab a_{n-1} = 0 on, in the same order.
+    The charge is still the full box's.
 
     When it is called, before any work or allocation, it refuses a box
     outside the domain of `box_cost` or whose cost exceeds the budget."""
@@ -221,15 +234,19 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None):
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"box of {points} lattice points costs {cost}, over budget {budget}")
-    return _cubic_blocks(R, monic) if n == 3 else _point_blocks(n, R, monic, points)
+    if n == 3:
+        return _cubic_blocks(R, monic, half)
+    if half:
+        points = (R + 1) * (2 * R + 1) ** (n - 1)
+    return _point_blocks(n, R, monic, points, half)
 
 
-def _point_blocks(n: int, R: int, monic: bool, points: int):
+def _point_blocks(n: int, R: int, monic: bool, points: int, half: bool):
     dim = n if monic else n + 1
     # flat lists of ints: no per-polynomial object outlives its step, so
     # a block adds nothing for the cyclic garbage collector to scan
     coeffs, discs = [], []
-    for i, f in enumerate(enumerate_box(n, R, monic), 1):
+    for i, f in enumerate(_box_tuples(n, R, monic, half), 1):
         coeffs.extend(f[:dim])
         discs.append(discriminant(f))
         if i % _BLOCK == 0 or i == points:
@@ -238,12 +255,12 @@ def _point_blocks(n: int, R: int, monic: bool, points: int):
             coeffs, discs = [], []
 
 
-def _cubic_blocks(R: int, monic: bool):
+def _cubic_blocks(R: int, monic: bool, half: bool):
     # slab over (a_3, a_2); vectorize over (a_1, a_0)
     span = np.arange(-R, R + 1, dtype=np.int64)
     c_grid, d_grid = (g.ravel() for g in np.meshgrid(span, span, indexing="ij"))
     for a in [1] if monic else [a for a in range(-R, R + 1) if a]:
-        for b in range(-R, R + 1):
+        for b in range(0 if half else -R, R + 1):
             if monic:
                 disc = disc_values_monic3(np.int64(b), c_grid, d_grid)
             else:

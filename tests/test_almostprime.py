@@ -127,22 +127,27 @@ class TestDiscSequence:
     @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1),
                                               (3, 10, 33), (4, 2, 3)])
     def test_matches_stable_argsort_oracle(self, n, H, radius):
-        # the histogram as one stable argsort over plain |Disc| builds it,
-        # with the row-product weights: equal |Disc| add up in enumeration
-        # order, so the packed-key sort must agree bit for bit.  The radius-33
-        # cubic box has more live points than one post-sort pass, so groups
-        # meet the pass edges; the quartics read digits above the low table.
+        # the histogram as one stable argsort over plain |Disc| of the half
+        # box builds it, with the row-product weights times the multiplicity
+        # 1 + sign of the first nonzero of a_{n-1}, a_{n-3}, ...: equal |Disc|
+        # add up in enumeration order, so the packed-key sort must agree bit
+        # for bit.  The radius-33 cubic box has more live points than one
+        # post-sort pass, so groups meet the pass edges; the quartics read
+        # digits above the low table.
         phi = SmoothWeight()
         seq = build_disc_sequence(n, H, phi, radius=radius)
         R = seq.radius
         profile = phi.coord_profile(np.arange(-R, R + 1) / H)
         vals, masses, zero_mass = [], [], 0.0
-        for coeffs, discs in _disc_blocks(n, R, True, None):
-            w = phi.amplitude * profile[coeffs + R].prod(axis=1)
+        for coeffs, discs in _disc_blocks(n, R, True, None, half=True):
+            flipped = coeffs[:, n - 1::-2]
+            first = flipped[np.arange(len(flipped)), np.argmax(flipped != 0, axis=1)]
+            mult = 1 + np.sign(first)
+            w = mult * (phi.amplitude * profile[coeffs + R].prod(axis=1))
             live = discs != 0
-            zero_mass += float(w[~live].sum())
-            vals.append(np.abs(discs[live]))
-            masses.append(w[live])
+            zero_mass += float(w[~live & (mult > 0)].sum())
+            vals.append(np.abs(discs[live & (mult > 0)]))
+            masses.append(w[live & (mult > 0)])
         vals, masses = np.concatenate(vals), np.concatenate(masses)
         order = np.argsort(vals, kind="stable")
         vals, masses = vals[order], masses[order]
@@ -151,19 +156,79 @@ class TestDiscSequence:
         assert np.array_equal(seq.masses, np.add.reduceat(masses, starts))
         assert seq.zero_mass == zero_mass
 
+    @pytest.mark.parametrize("n, H, radius, fixed_only", [
+        (2, 1, 1, [4]),                    # x^2 - 4c: x^2 + c alone gives 4|c|
+        (3, 2, 2, [4, 32]),                # x^3 + cx alone gives 4|c|^3
+        (3, 1.5, 3, []),
+        (4, 1, 2, [256, 1024, 1568, 2592, 4608]),
+        (5, 1, 1, [256]),
+    ])
+    def test_half_box_matches_full_box(self, n, H, radius, fixed_only):
+        # a pointwise sum over the full box, with Sylvester discriminants:
+        # the half box with multiplicities must give the same histogram.
+        # fixed_only lists the |Disc| that only fixed points of x -> -x
+        # (all of a_{n-1}, a_{n-3}, ... zero) reach, which the half box
+        # counts once.
+        phi = SmoothWeight()
+        seq = build_disc_sequence(n, H, phi, radius=radius)
+        direct, moved, zero_mass = {}, set(), 0.0
+        for f in enumerate_box(n, radius, monic=True):
+            w = phi.value([c / H for c in f[:n]])
+            d = abs(_disc_sylvester(f))
+            if d == 0:
+                zero_mass += w
+                continue
+            direct[d] = direct.get(d, 0.0) + w
+            if any(f[j] for j in range(n - 1, -1, -2)):
+                moved.add(d)
+        assert sorted(set(direct) - moved) == fixed_only
+        assert seq.ms.tolist() == sorted(direct)
+        for m, mass in zip(seq.ms.tolist(), seq.masses.tolist()):
+            assert abs(mass - direct[m]) <= 1e-12 * direct[m], m
+        assert abs(seq.zero_mass - zero_mass) <= 1e-12 * zero_mass
+
+    @pytest.mark.parametrize("sigma, H, R", [(1.0, 30, 104), (0.7, 2.7, 9), (1.3, 1e-3, 5)])
+    def test_coord_profile_is_even(self, sigma, H, R):
+        # the half box gives f and (-1)^n f(-x) one weight: that needs the
+        # profile to be even bit for bit on the box's coordinates
+        profile = SmoothWeight(sigma).coord_profile(np.arange(-R, R + 1) / H)
+        assert np.array_equal(profile, profile[::-1])
+
+    @pytest.mark.parametrize("H", [0, -2, math.inf, -math.inf, math.nan])
+    def test_bad_height_refused_before_allocation(self, monkeypatch, H):
+        def fail(*_a, **_k):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr(np, "empty", fail)
+        monkeypatch.setattr(zpoly, "box_cost", fail)
+        with pytest.raises(ValueError, match="H must be a finite positive number"):
+            build_disc_sequence(3, H)
+        with pytest.raises(ValueError, match="H must be a finite positive number"):
+            build_disc_sequence(3, H, radius=2)
+
+    def test_negative_radius_refused_before_allocation(self, monkeypatch):
+        def fail(*_a, **_k):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr(np, "empty", fail)
+        monkeypatch.setattr(zpoly, "box_cost", fail)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            build_disc_sequence(3, 2, radius=-1)
+
     def test_memory_is_one_key_per_point(self):
-        # one int64 key per box point, three arrays per distinct |Disc|
-        # (values, masses, group starts) and a fixed allowance for the
-        # per-block and per-pass temporaries; a float mass array beside the
-        # keys would add 8 bytes per point and break the bound
+        # one int64 key per point of the half box, 61 * 121^2, three arrays
+        # per distinct |Disc| (values, masses, group starts) and a fixed
+        # allowance for the per-block and per-pass temporaries; a key array
+        # over the full box, 121^3, would add 6.7 MiB and break the bound,
+        # and so would a float mass array beside the keys
         tracemalloc.start()
         try:
             seq = build_disc_sequence(3, 20, radius=60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        points = 121 ** 3
-        assert peak < 8 * points + 24 * seq.ms.size + 16 * 2 ** 20
+        points = 61 * 121 ** 2
+        assert peak < 8 * points + 24 * seq.ms.size + 5 * 2 ** 20
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

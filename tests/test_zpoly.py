@@ -309,6 +309,29 @@ class TestSquareDiscScan:
         assert got == want
         assert zeros == want_zeros
 
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n,R", [(2, 2), (3, 3), (4, 2), (5, 1)])
+    def test_half_box_is_the_tail_of_the_box(self, monkeypatch, n, R, block):
+        # the half box is the box's points from the slab a_{n-1} = 0 on,
+        # in the same order, and its charge is the full box's
+        if block:
+            monkeypatch.setattr(zpoly, "_BLOCK", block)
+
+        def rows(**half):
+            blocks = list(zpoly._disc_blocks(n, R, True, None, **half))
+            return (np.concatenate([c for c, _ in blocks]),
+                    np.concatenate([d for _, d in blocks]))
+
+        full_coeffs, full_discs = rows()
+        coeffs, discs = rows(half=True)
+        start = R * (2 * R + 1) ** (n - 1)
+        assert np.array_equal(coeffs, full_coeffs[start:])
+        assert np.array_equal(discs, full_discs[start:])
+        cost = zpoly.box_cost(n, R, True)[1]
+        zpoly._disc_blocks(n, R, True, cost, half=True)
+        with pytest.raises(BudgetExceededError):
+            zpoly._disc_blocks(n, R, True, cost - 1, half=True)
+
 
 class TestDiscDomain:
     def test_degree_ten_height_one_admitted(self, monkeypatch):
@@ -328,7 +351,7 @@ class TestDiscDomain:
         def no_work(*_a, **_k):
             raise AssertionError("the box was enumerated")
 
-        monkeypatch.setattr(zpoly, "enumerate_box", no_work)
+        monkeypatch.setattr(zpoly, "_box_tuples", no_work)
         monkeypatch.setattr(zpoly, "discriminant", no_work)
         with pytest.raises(BudgetExceededError, match="int64"):
             square_disc_scan(11, 1, True, budget=None)
