@@ -12,6 +12,7 @@ enumeration with batch factoring.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,15 @@ from .errors import BudgetExceededError
 from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, _ldisc_abs_bound
 # rebound here too by perfbench/tracing.py, which raises if either is missing
 from .zpoly import discriminant, disc_values_monic3  # noqa: F401
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, by `operator.index` as `zpoly._coeffs` takes
+    coefficients; a float or any other non-integer raises TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +92,9 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
     """Exact-discriminant histogram with smooth weights phi(f/H) over the
     monic lattice, truncated where the Gaussian falls below machine
-    precision (override with an explicit radius for hard boxes).  H must be
-    a finite positive number and the radius >= 0.
+    precision (override with an explicit radius for hard boxes).  n and
+    the radius must be integers, H a finite positive number and the
+    radius >= 0.
 
     Half the box is scanned.  g(x) = (-1)^n f(-x) is monic with the same
     discriminant and maps a_j to (-1)^(n-j) a_j, and the product weight is
@@ -110,6 +121,9 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     Domain: max |Disc| < 2^(63 - shift), checked on
     `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
     refused with BudgetExceededError."""
+    n = _integer("n", n)
+    if radius is not None:
+        radius = _integer("radius", radius)
     if n < 2:
         raise ValueError("need degree n >= 2")
     if not (math.isfinite(H) and H > 0):
@@ -264,51 +278,56 @@ def min_admissible_r(n: int) -> int:
 # counting and exponents
 # ---------------------------------------------------------------------------
 
-# nonzero |Disc| per omega_batch call in count_almost_prime.  Each call
-# pays a fixed numpy cost per trial prime and Miller-Rabin step, which
-# dominated one call per slab.  2^14, not _CHUNK: on the almost-prime
-# benchmark (cubic boxes H = 20, 30; 2 vCPU, numpy 2.4.6) peak RSS went
-# 31.8 -> 33.1 MB (+4%) at 2^14, and to 34.3 MB (+8%) at 2^15.
-_OMEGA_GROUP = 1 << 14
+# nonzero |Disc| per omega_batch call in count_almost_prime, at least.
+# Each call pays a fixed numpy cost per trial prime and Miller-Rabin step,
+# and its working arrays grow with it.  On the almost-prime benchmark
+# (cubic boxes H = 20, 30; 2 vCPU, numpy 2.4.6; medians of four 10 s runs)
+# wall_s / peak_rss_mb read 0.142 s / 33.6 MB at 2^13, 0.116 / 34.1 at
+# 2^14, 0.108 / 34.9 at 2^15 and 0.102 / 36.6 at 2^16, against 0.211 s /
+# 33.3 MB for 2^14 values cut by slab, unsorted: 2^16 would take the
+# benchmark's whole 10% RSS bound, 2^15 takes under half of it.
+_OMEGA_GROUP = 1 << 15
 
 
 def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
                        budget: int | None = DEFAULT_BOX_BUDGET) -> int:
     """Number of monic height-H degree-n polynomials with nonzero
     discriminant having at most r distinct prime factors (optionally also
-    requiring the discriminant to be squarefree).
+    requiring the discriminant to be squarefree).  n, H and r must be
+    integers.
 
-    The nonzero |Disc| of consecutive slabs are joined into groups of at
-    least _OMEGA_GROUP values, and each group takes one `omega_batch` call,
-    so every value is factored in exactly one call and a |Disc| repeated
-    inside a group is factored once.  Memory: a group's int64 values,
-    twice while it is joined, and `omega_batch`'s working arrays for it."""
+    The nonzero |Disc| of the box are written into one int64 array, sorted
+    in place and cut into consecutive groups of at least _OMEGA_GROUP
+    values, each cut moved forward to the end of its run of equal values;
+    each group takes one `omega_batch` call.  So every value goes through
+    exactly one call, no distinct value reaches two calls, and each
+    distinct |Disc| is factored once per box.  Memory: one int64 per box
+    point, (2H+1)^n, allocated after the box is charged, plus
+    `omega_batch`'s working arrays for one group."""
+    n, H, r = _integer("n", n), _integer("H", H), _integer("r", r)
     if n < 2 or H < 1 or r < 0:
         raise ValueError("need n >= 2, H >= 1, r >= 0")
-
-    def count(vals):
-        om, sqfree = _ints.omega_batch(vals)
+    blocks = _disc_blocks(n, H, True, budget)  # refuses before allocating
+    vals = np.empty((2 * H + 1) ** n, dtype=np.int64)
+    k = 0
+    for _coeffs, discs in blocks:
+        live = discs[discs != 0]
+        np.abs(live, out=vals[k:k + live.size])
+        k += live.size
+    vals = vals[:k]
+    vals.sort()
+    total, lo = 0, 0
+    while lo < k:
+        hi = lo + _OMEGA_GROUP
+        if hi < k:
+            hi = int(np.searchsorted(vals, vals[hi - 1], "right"))
+        om, sqfree = _ints.omega_batch(vals[lo:hi])
         ok = om <= r
         if squarefree_only:
             ok &= sqfree
-        return int(np.count_nonzero(ok))
-
-    # each group's results are freed before the next group is factored
-    return sum(map(count, _omega_groups(_disc_blocks(n, H, True, budget))))
-
-
-def _omega_groups(blocks):
-    """The nonzero |Disc| of consecutive blocks, joined into groups of at
-    least _OMEGA_GROUP values; the last group may be smaller."""
-    parts, size = [], 0
-    for _coeffs, discs in blocks:
-        parts.append(np.abs(discs[discs != 0]))
-        size += parts[-1].size
-        if size >= _OMEGA_GROUP:
-            group, parts, size = np.concatenate(parts), [], 0
-            yield group
-    if size:
-        yield np.concatenate(parts)
+        total += int(np.count_nonzero(ok))
+        lo = hi
+    return total
 
 
 def field_exponent(n: int, c_n) -> tuple[Fraction, Fraction]:

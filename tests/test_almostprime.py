@@ -215,6 +215,20 @@ class TestDiscSequence:
         with pytest.raises(ValueError, match="radius must be >= 0"):
             build_disc_sequence(3, 2, radius=-1)
 
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((3.0, 2), {}, "n"),
+        ((3, 2), {"radius": 2.5}, "radius"),
+        ((3, 2), {"radius": 2.0}, "radius"),
+    ])
+    def test_non_integer_refused_before_allocation(self, monkeypatch, args, kwargs, name):
+        def fail(*_a, **_k):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr(np, "empty", fail)
+        monkeypatch.setattr(zpoly, "box_cost", fail)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            build_disc_sequence(*args, **kwargs)
+
     def test_memory_is_one_key_per_point(self):
         # one int64 key per point of the half box, 61 * 121^2, three arrays
         # per distinct |Disc| (values, masses, group starts) and a fixed
@@ -435,6 +449,35 @@ class TestCountAlmostPrime:
         assert got == direct
         assert got <= count_almost_prime(3, 3, 3)
 
+    @pytest.mark.parametrize("args, name", [
+        ((3, 2, 2.5), "r"),
+        ((3, 2.5, 3), "H"),
+        ((3.0, 2, 3), "n"),
+        ((3, 2.0, 3), "H"),
+        ((3, 2, "3"), "r"),
+    ])
+    def test_non_integer_refused_before_allocation(self, monkeypatch, args, name):
+        def fail(*_a, **_k):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr(np, "empty", fail)
+        monkeypatch.setattr(zpoly, "box_cost", fail)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            count_almost_prime(*args)
+
+    def test_integer_types_accepted(self):
+        assert count_almost_prime(np.int64(3), np.int32(4), np.uint8(2)) == \
+            count_almost_prime(3, 4, 2)
+
+    def test_budget_refused_before_allocation(self, monkeypatch):
+        # the one int64 per box point is allocated after the box is charged
+        def fail(*_a, **_k):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "empty", fail)
+        with pytest.raises(BudgetExceededError):
+            count_almost_prime(3, 10 ** 4, 3, budget=10 ** 6)
+
     def test_oracle_h12(self):
         # |Disc| reaches ~10^6, so cofactors above the trial-division bound
         # go through the int64 Miller-Rabin; oracle: Bareiss + scalar omega.
@@ -443,27 +486,36 @@ class TestCountAlmostPrime:
 
     @pytest.mark.parametrize("group", [1, 700])
     def test_oracle_h12_small_groups(self, monkeypatch, group):
-        # 1: one call per slab of 625 points; 700: two slabs per call, so
-        # group edges fall inside the box and the last group is one slab
+        # 1: every call is one run of equal |Disc|; 700: 9 of the 22 cuts
+        # fall inside a run and move to its end
         monkeypatch.setattr(almostprime, "_OMEGA_GROUP", group)
         assert_counts_match_h12_oracle()
 
     @pytest.mark.parametrize("H, nonzero", [(20, 68_808), (30, 226_808)])
     def test_every_nonzero_disc_factored_once(self, monkeypatch, H, nonzero):
-        # the input sizes of omega_batch, recorded as perfbench's tracer
-        # records ints.omega_values (295,616 on the almost-prime workload)
-        sizes = []
+        # the inputs of omega_batch, recorded as perfbench's tracer records
+        # ints.omega_values (295,616 on the almost-prime workload) and
+        # ints.omega_distinct (58,047)
+        calls = []
 
         def recording(vals):
-            sizes.append(vals.size)
+            calls.append(np.array(vals))
             return omega_batch(vals)
 
         monkeypatch.setattr(_ints, "omega_batch", recording)
         count_almost_prime(3, H, 3)
+        sizes = [c.size for c in calls]
         assert sum(sizes) == nonzero
         assert nonzero == sum(int(np.count_nonzero(d))
                               for _c, d in _disc_blocks(3, H, True, None))
         assert min(sizes[:-1]) >= almostprime._OMEGA_GROUP
+        # each call is an ascending value range above the previous one, so
+        # no distinct |Disc| reaches two calls: each is factored once
+        for c in calls:
+            assert np.all(c[1:] >= c[:-1])
+        for prev, c in zip(calls, calls[1:]):
+            assert c[0] > prev[-1]
+        assert sum(np.unique(c).size for c in calls) == {20: 17_353, 30: 58_047}[H]
 
     def test_stability_small(self):
         c1 = count_almost_prime(3, 15, 3)
