@@ -186,10 +186,10 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized distinct-prime counts and squarefree flags for an array of
     nonzero int64 values.
 
-    Sorts the |v| and factors each distinct one once per call, by trial
-    division with all primes up to cbrt(max |v|).  After the first division
-    by p, p is divided out again only from the values it divided, a set
-    that shrinks each step.  Each remaining cofactor then has at most two
+    Sorts the |v|, unless they already ascend, and factors each distinct
+    one once per call, by trial division with all primes up to
+    cbrt(max |v|).  After the first division by p, p is divided out again
+    only from the values it divided, a set that shrinks each step.  Each remaining cofactor then has at most two
     prime factors and is resolved exactly as 1, p^2 (exact square test), p
     or p*q.  Cofactors below INT64_MR_LIMIT = 2**31 take the vectorized
     int64 Miller-Rabin over bases 2, 7, 61, deterministic below
@@ -203,8 +203,10 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.abs(np.asarray(values, dtype=np.int64)).ravel()
     if vals.size == 0:
         return np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=bool)
-    order = vals.argsort()
-    vals = vals[order]
+    # count_almost_prime passes sorted groups: no argsort, no scatter back
+    order = None if np.all(vals[1:] >= vals[:-1]) else vals.argsort()
+    if order is not None:
+        vals = vals[order]
     if vals[0] == 0:
         raise ValueError("omega_batch: zero entry")
     # factor each distinct value once; its run of equal values shares the result
@@ -254,8 +256,7 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prime[i] = is_prime(int(cof[i]))
     counts[idx] += np.where(prime, 1, 2)
     # each value's result fills its run of the sorted input, in input order
-    om = np.empty(order.size, dtype=np.int64)
-    om[order] = np.repeat(counts, runs)
-    flags = np.empty(order.size, dtype=bool)
-    flags[order] = np.repeat(sqfree, runs)
+    om, flags = np.repeat(counts, runs), np.repeat(sqfree, runs)
+    if order is not None:  # scatter back
+        om[order], flags[order] = om.copy(), flags.copy()
     return om.reshape(shape), flags.reshape(shape)

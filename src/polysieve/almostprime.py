@@ -59,32 +59,27 @@ class DiscSequence:
     def divisible_mass(self, d: int) -> float:
         if d == 1:
             return self.total_mass
-        # int64 division by a scalar is much cheaper than the remainder
-        return float(self.masses[self.ms // d * d == self.ms].sum())
+        # the masses of the |Disc| that d divides, compressed pass by pass
+        # into one buffer and summed once: the bits of
+        # masses[ms % d == 0].sum(), with no temporary of output size
+        hits = np.empty(self.ms.size)
+        k = 0
+        for lo in range(0, self.ms.size, _CHUNK):
+            ms = self.ms[lo:lo + _CHUNK]
+            # int64 division by a scalar is much cheaper than the remainder
+            mask = ms // d * d == ms
+            m = int(np.count_nonzero(mask))
+            np.compress(mask, self.masses[lo:lo + _CHUNK], out=hits[k:k + m])
+            k += m
+        return float(hits[:k].sum())
 
 
-# keys per pass after the sort.  The passes allocate nothing of point size,
-# and their few temporaries of 256 KiB each stay in the allocator's heap
-# from pass to pass: at 2^17 keys a pass, the cubic build at H = 30 took
-# 5x the page faults and ~30% more time.
+# keys per pass after the sort, at least.  The counting and filling passes
+# allocate nothing of point size or of output size, and their temporaries
+# of 256 KiB each stay in the allocator's heap from pass to pass: at 2^16
+# keys a pass, the cubic build at H = 30 took 4.7x the page faults and
+# ~15% more time (2^13 to 2^15 measured alike).
 _CHUNK = 1 << 15
-
-
-def _group_starts(keys: np.ndarray, shift: int) -> np.ndarray:
-    """Indices of the sorted keys where keys >> shift changes: the starts of
-    the groups of equal |Disc|, marked in passes of _CHUNK keys into one
-    bool per key.  Starts gathered per pass and then joined are heap-sized
-    pieces, and whether their ~20 MB (cubic, H = 30) went back to the
-    system after the join varied with the process's environment size:
-    peak RSS 163 or 182 MB."""
-    new = np.empty(keys.size, dtype=bool)
-    prev = -1
-    for i in range(0, keys.size, _CHUNK):
-        vals = keys[i:i + _CHUNK] >> shift
-        new[i] = vals[0] != prev
-        np.not_equal(vals[1:], vals[:-1], out=new[i + 1:i + vals.size])
-        prev = vals[-1]
-    return np.flatnonzero(new)
 
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
@@ -105,18 +100,20 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     point of each pair, 0 for the other, 1 on the fixed points of the
     flip (all flipped coordinates 0), which lie in the slab a_{n-1} = 0.
 
-    Each nonzero |Disc| of a kept point is packed with its box position
-    into one int64 key, |Disc| << shift | slot, and the keys are sorted in
-    place.  The slot is the point's running index in the full box's
-    enumeration order, zero discriminants included, so its base-(2R+1)
-    digits are the coordinates a_j + R and a point's weight and
-    multiplicity are recomputed from its key after the sort.  Keys are
-    distinct, so equal |Disc| stay in enumeration order and their masses,
-    multiplicity times weight (doubling is exact), add up in that order;
-    so does the Disc = 0 mass.  Memory: one int64 key per point of the
-    half box, (R+1)(2R+1)^(n-1), plus the outputs and the group starts
-    (three arrays per distinct |Disc|), and one bool per key while the
-    groups are found.  The budget is charged `box_cost` of the full box,
+    The |Disc| of every kept point, zero included, is packed with its box
+    position into one int64 key, |Disc| << shift | slot, and the keys are
+    sorted in place.  The slot is the point's running index in the full
+    box's enumeration order, so its base-(2R+1) digits are the coordinates
+    a_j + R and a point's weight and multiplicity are recomputed from its
+    key after the sort.  Keys are distinct, so equal |Disc| stay in
+    enumeration order and their masses, multiplicity times weight
+    (doubling is exact), add up in that order.  The Disc = 0 group, if
+    any, sorts first; its mass is `zero_mass`.  After the sort, passes of
+    about _CHUNK keys, each ending where a group of equal |Disc| ends,
+    count the groups and then fill the outputs.  Memory: one int64 key
+    per point of the half box, (R+1)(2R+1)^(n-1), plus the outputs (an
+    int64 and a float64 per distinct |Disc|) and temporaries of one pass
+    or one block.  The budget is charged `box_cost` of the full box,
     about twice what is scanned.
     Domain: max |Disc| < 2^(63 - shift), checked on
     `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
@@ -141,6 +138,7 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         raise BudgetExceededError(
             f"degree-{n} box of height {R}: |Disc| may reach {bound}, too large "
             f"to pack with a {shift}-bit slot into an int64 sort key")
+    slot_bits = (1 << shift) - 1
     # the slab a_{n-1} = 0, where the half box starts, holds slots
     # slab0 .. slab1 - 1
     slab = width ** (n - 1)
@@ -164,10 +162,12 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         # digit by digit, in the order a row product would multiply
         q = slots // (width * width)
         w = low[slots - q * (width * width)]
-        for _ in range(2, n):
+        for _ in range(3, n):
             r = q // width
             w *= profile[q - r * width]
             q = r
+        if n > 2:
+            w *= profile[q]  # the top digit: q < width
         w *= phi.amplitude
         # doubled, then the fixed points, all in the slab a_{n-1} = 0,
         # halved back: both steps are exact
@@ -182,38 +182,47 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     # leave the allocator's heap fragmented and resident
     keys = np.empty((R + 1) * slab, dtype=np.int64)
     k, pos = 0, slab0
-    zero_mass = 0.0
     for _coeffs, discs in blocks:
         slots = np.arange(pos, pos + discs.size)
         pos += discs.size
         if slots[0] < slab1:  # drop the points of multiplicity 0
             kept = (slots >= slab1) | (flip_sign(slots) >= 0)
             slots, discs = slots[kept], discs[kept]
-        live = discs != 0
-        zero_mass += float(weights(slots[~live]).sum())
-        m = int(np.count_nonzero(live))
-        out = keys[k:k + m]
-        np.abs(discs[live], out=out)
+        out = keys[k:k + discs.size]
+        np.abs(discs, out=out)
         out <<= shift
-        out |= slots[live]
-        k += m
+        out |= slots
+        k += discs.size
     keys = keys[:k]
-    if not k:
-        return DiscSequence(n, H, phi, R, keys, np.empty(0), zero_mass)
     keys.sort()
-    starts = _group_starts(keys, shift)
-    ms = keys[starts]
-    ms >>= shift
-    keys &= (1 << shift) - 1
-    # each pass runs from the first group start at or after a multiple of
-    # _CHUNK to the next one, so every group sums whole inside one pass
-    masses = np.empty(starts.size)
-    edges = np.unique(np.append(np.searchsorted(starts, np.arange(0, k, _CHUNK)),
-                                starts.size))
-    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        lo = starts[g0]
-        hi = starts[g1] if g1 < starts.size else k
-        masses[g0:g1] = np.add.reduceat(weights(keys[lo:hi]), starts[g0:g1] - lo)
+    # pass edges: each multiple of _CHUNK moved to the end of its group, so
+    # every group is counted and summed whole inside one pass
+    edges = [0]
+    while edges[-1] < k:
+        hi = edges[-1] + _CHUNK
+        edges.append(k if hi >= k else
+                     int(np.searchsorted(keys, keys[hi - 1] | slot_bits, "right")))
+    sizes = []
+    for lo, hi in zip(edges, edges[1:]):
+        vals = keys[lo:hi] >> shift
+        sizes.append(1 + int(np.count_nonzero(vals[1:] != vals[:-1])))
+    ms = np.empty(sum(sizes), dtype=np.int64)
+    masses = np.empty(ms.size)
+    g = 0
+    for lo, hi, size in zip(edges, edges[1:], sizes):
+        chunk = keys[lo:hi]
+        vals = chunk >> shift
+        new = np.empty(vals.size, dtype=bool)
+        new[0] = True
+        np.not_equal(vals[1:], vals[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        ms[g:g + size] = vals[starts]
+        masses[g:g + size] = np.add.reduceat(weights(chunk & slot_bits), starts)
+        g += size
+    zero_mass = 0.0
+    if ms[0] == 0:
+        zero_mass = float(masses[0])
+        ms, masses = ms[1:], masses[1:]
     return DiscSequence(n, H, phi, R, ms, masses, zero_mass)
 
 

@@ -125,35 +125,28 @@ class TestDiscSequence:
         assert _ldisc_abs_bound(3, 286, True) < 2 ** 35 <= _ldisc_abs_bound(3, 287, True)
 
     @pytest.mark.parametrize("n, H, radius", [(3, 4, None), (3, 2, 3), (4, 1, 2), (2, 1, 1),
-                                              (3, 10, 33), (4, 2, 3)])
+                                              (3, 10, 33), (4, 2, 3), (2, 1, 0)])
     def test_matches_stable_argsort_oracle(self, n, H, radius):
-        # the histogram as one stable argsort over plain |Disc| of the half
-        # box builds it, with the row-product weights times the multiplicity
-        # 1 + sign of the first nonzero of a_{n-1}, a_{n-3}, ...: equal |Disc|
-        # add up in enumeration order, so the packed-key sort must agree bit
-        # for bit.  The radius-33 cubic box has more live points than one
-        # post-sort pass, so groups meet the pass edges; the quartics read
-        # digits above the low table.
-        phi = SmoothWeight()
-        seq = build_disc_sequence(n, H, phi, radius=radius)
-        R = seq.radius
-        profile = phi.coord_profile(np.arange(-R, R + 1) / H)
-        vals, masses, zero_mass = [], [], 0.0
-        for coeffs, discs in _disc_blocks(n, R, True, None, half=True):
-            flipped = coeffs[:, n - 1::-2]
-            first = flipped[np.arange(len(flipped)), np.argmax(flipped != 0, axis=1)]
-            mult = 1 + np.sign(first)
-            w = mult * (phi.amplitude * profile[coeffs + R].prod(axis=1))
-            live = discs != 0
-            zero_mass += float(w[~live & (mult > 0)].sum())
-            vals.append(np.abs(discs[live & (mult > 0)]))
-            masses.append(w[live & (mult > 0)])
-        vals, masses = np.concatenate(vals), np.concatenate(masses)
-        order = np.argsort(vals, kind="stable")
-        vals, masses = vals[order], masses[order]
-        starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-        assert np.array_equal(seq.ms, vals[starts])
-        assert np.array_equal(seq.masses, np.add.reduceat(masses, starts))
+        # the radius-33 cubic box has more keys than one post-sort pass, so
+        # groups meet the pass edges; the quartics read digits above the low
+        # table; the radius-0 quadratic is one zero group and nothing else
+        seq = build_disc_sequence(n, H, SmoothWeight(), radius=radius)
+        ms, masses, zero_mass = stable_argsort_histogram(n, H, seq.radius)
+        assert np.array_equal(seq.ms, ms)
+        assert np.array_equal(seq.masses, masses)
+        assert seq.zero_mass == zero_mass
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("n, H, radius", [(3, 10, 33), (4, 2, 3)])
+    def test_pass_edges_match_oracle(self, monkeypatch, chunk, n, H, radius):
+        # passes of 1, 2 or 3 keys before each edge moves to its group's
+        # end: groups of equal |Disc| (the zero group among them) cross
+        # several chunk marks and must still count and sum whole
+        monkeypatch.setattr(almostprime, "_CHUNK", chunk)
+        seq = build_disc_sequence(n, H, SmoothWeight(), radius=radius)
+        ms, masses, zero_mass = stable_argsort_histogram(n, H, radius)
+        assert np.array_equal(seq.ms, ms)
+        assert np.array_equal(seq.masses, masses)
         assert seq.zero_mass == zero_mass
 
     @pytest.mark.parametrize("n, H, radius, fixed_only", [
@@ -230,11 +223,13 @@ class TestDiscSequence:
             build_disc_sequence(*args, **kwargs)
 
     def test_memory_is_one_key_per_point(self):
-        # one int64 key per point of the half box, 61 * 121^2, three arrays
-        # per distinct |Disc| (values, masses, group starts) and a fixed
-        # allowance for the per-block and per-pass temporaries; a key array
-        # over the full box, 121^3, would add 6.7 MiB and break the bound,
-        # and so would a float mass array beside the keys
+        # one int64 key per point of the half box, 61 * 121^2, the two
+        # outputs per distinct |Disc| (values, masses) and a fixed allowance
+        # for the per-block and per-pass temporaries (2.2 MiB measured); a
+        # key array over the full box, 121^3, would add 6.7 MiB and break
+        # the bound, and so would a float mass array beside the keys, an
+        # int64 of group starts per distinct |Disc| (3.6 MiB) or a bool per
+        # key (0.9 MiB) beside the outputs
         tracemalloc.start()
         try:
             seq = build_disc_sequence(3, 20, radius=60)
@@ -242,7 +237,7 @@ class TestDiscSequence:
         finally:
             tracemalloc.stop()
         points = 61 * 121 ** 2
-        assert peak < 8 * points + 24 * seq.ms.size + 5 * 2 ** 20
+        assert peak < 8 * points + 16 * seq.ms.size + 3 * 2 ** 20
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -313,6 +308,8 @@ class TestDiscSequence:
         assert seq.ms.size == 0 and seq.masses.size == 0
         assert seq.total_mass == 0.0
         assert seq.zero_mass == phi.amplitude
+        for d in (1, 2, 97):
+            assert seq.divisible_mass(d) == 0.0
 
     def test_quartic_generic_path(self):
         seq = build_disc_sequence(4, 1, radius=1)
@@ -333,6 +330,15 @@ def seq():
 
 
 class TestDensityRemainder:
+
+    def test_divisible_mass_is_the_masked_sum(self, seq):
+        # bit for bit the sum of the masses of the |Disc| that d divides,
+        # in ascending order; d above the largest |Disc| divides none
+        top = int(seq.ms.max())
+        for d in (1, 2, 3, 6, 10, 30, 97, top + 1):
+            want = float(seq.masses[seq.ms % d == 0].sum())
+            assert seq.divisible_mass(d) == want, d
+        assert seq.divisible_mass(top + 1) == 0.0
 
     def test_trivial_divisor(self, seq):
         rep = density_remainder(seq, 1)
@@ -527,6 +533,34 @@ class TestCountAlmostPrime:
 
 
 @lru_cache(maxsize=None)
+def stable_argsort_histogram(n, H, R):
+    """(ms, masses, zero_mass) of the radius-R half box by one stable
+    argsort over plain |Disc|, zero included: the row-product weights times
+    the multiplicity 1 + sign of the first nonzero of a_{n-1}, a_{n-3}, ...,
+    and equal |Disc| added up in enumeration order by one `reduceat`, whose
+    group 0 is the Disc = 0 mass when there is one.  The packed-key sort
+    must agree with it bit for bit."""
+    phi = SmoothWeight()
+    profile = phi.coord_profile(np.arange(-R, R + 1) / H)
+    vals, masses = [], []
+    for coeffs, discs in _disc_blocks(n, R, True, None, half=True):
+        flipped = coeffs[:, n - 1::-2]
+        first = flipped[np.arange(len(flipped)), np.argmax(flipped != 0, axis=1)]
+        mult = 1 + np.sign(first)
+        w = mult * (phi.amplitude * profile[coeffs + R].prod(axis=1))
+        vals.append(np.abs(discs[mult > 0]))
+        masses.append(w[mult > 0])
+    vals, masses = np.concatenate(vals), np.concatenate(masses)
+    order = np.argsort(vals, kind="stable")
+    vals, masses = vals[order], masses[order]
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    ms, masses = vals[starts], np.add.reduceat(masses, starts)
+    if ms[0] != 0:
+        return ms, masses, 0.0
+    return ms[1:], masses[1:], float(masses[0])
+
+
+@lru_cache(maxsize=None)
 def h12_oracle():
     """(omega, squarefree) of every nonzero Disc in the monic cubic box of
     height 12, by Bareiss and scalar trial division."""
@@ -623,6 +657,22 @@ class TestOmegaBatch:
         got, _ = omega_batch(vals)
         for v, o in zip(vals.tolist(), got.tolist()):
             assert o == omega(v)
+
+    def test_sorted_input_matches_shuffled(self):
+        # ascending input skips the argsort and the scatter back: results
+        # must equal those of a shuffled copy, entry for entry
+        rng = np.random.default_rng(5)
+        vals = np.sort(rng.integers(1, 10 ** 9, size=2000))
+        vals[100:140] = vals[100]  # runs of equal values
+        vals = np.sort(np.concatenate((vals, [SPSP_2_7_61, *STRADDLE])))
+        perm = rng.permutation(vals.size)
+        om, flags = omega_batch(vals)
+        om_s, flags_s = omega_batch(vals[perm])
+        assert np.array_equal(om[perm], om_s)
+        assert np.array_equal(flags[perm], flags_s)
+        sample = vals[::7].tolist()
+        assert om[::7].tolist() == [omega(v) for v in sample]
+        assert flags[::7].tolist() == [is_squarefree(v) for v in sample]
 
     def test_squarefree_flags(self):
         vals = np.arange(1, 500, dtype=np.int64)
