@@ -157,6 +157,22 @@ def square_mask(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_runs(vals: np.ndarray, size: int, shift: int = 0):
+    """Passes (lo, hi, starts) over a sorted int64 array: vals[lo:hi] holds
+    at least `size` entries, or the rest, and ends where a run of equal
+    `vals >> shift` ends; `starts` are the offsets of its runs' starts."""
+    lo, k, low_bits = 0, vals.size, (1 << shift) - 1
+    while lo < k:
+        hi = k if lo + size >= k else int(
+            np.searchsorted(vals, vals[lo + size - 1] | low_bits, "right"))
+        run = vals[lo:hi] >> shift if shift else vals[lo:hi]
+        new = np.empty(run.size, dtype=bool)
+        new[0] = True
+        np.not_equal(run[1:], run[:-1], out=new[1:])
+        yield lo, hi, np.flatnonzero(new)
+        lo = hi
+
+
 def _is_prime_int64(c: np.ndarray) -> np.ndarray:
     """Primality mask for a 1-D int64 array of odd values in (1, INT64_MR_LIMIT):
     strong-probable-prime tests to the bases 2, 7, 61 at once, exact there."""
@@ -203,20 +219,17 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.abs(np.asarray(values, dtype=np.int64)).ravel()
     if vals.size == 0:
         return np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=bool)
-    # count_almost_prime passes sorted groups: no argsort, no scatter back
+    # count_almost_prime's groups come sorted: no argsort, no scatter back
     order = None if np.all(vals[1:] >= vals[:-1]) else vals.argsort()
     if order is not None:
         vals = vals[order]
     if vals[0] == 0:
         raise ValueError("omega_batch: zero entry")
     # factor each distinct value once; its run of equal values shares the result
-    new = np.empty(vals.size, dtype=bool)
-    new[0] = True
-    np.not_equal(vals[1:], vals[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    (_lo, _hi, starts), = _sorted_runs(vals, vals.size)
     rem = vals[starts]
     runs = np.diff(starts, append=vals.size)
-    del vals, new, starts
+    del vals, starts
     counts = np.zeros(rem.shape, dtype=np.int64)
     sqfree = np.ones(rem.shape, dtype=bool)
     bound = max(2, round(int(rem[-1]) ** (1 / 3)) + 2)

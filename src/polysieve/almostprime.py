@@ -4,9 +4,9 @@ The weighted sequence a_m collects Gaussian-smoothed masses of lattice
 polynomials by absolute discriminant; its divisor sums realize the linear
 sieve density g(d) = 1/d with main term H^n phi_hat(0) / d.  Admissibility
 of a prime-factor budget r is governed by
-Delta_r = r + log((3/4)(1 + 3^-r)) / log 3, and counting polynomials whose
-discriminant has at most r distinct prime factors is done by direct
-enumeration with batch factoring.
+Delta_r = r + log((3/4)(1 + 3^-r)) / log 3, and the distribution of the
+discriminant's number of distinct prime factors over a box, from which
+every cap r is read, is counted by direct enumeration with batch factoring.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class DiscSequence:
     def divisible_mass(self, d: int) -> float:
         if d == 1:
             return self.total_mass
+        if self.ms.size == 0 or d > int(self.ms[-1]):
+            return 0.0  # d divides no stored |Disc|, and may not fit an int64
         # the masses of the |Disc| that d divides, compressed pass by pass
         # into one buffer and summed once: the bits of
         # masses[ms % d == 0].sum(), with no temporary of output size
@@ -195,30 +197,16 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         k += discs.size
     keys = keys[:k]
     keys.sort()
-    # pass edges: each multiple of _CHUNK moved to the end of its group, so
-    # every group is counted and summed whole inside one pass
-    edges = [0]
-    while edges[-1] < k:
-        hi = edges[-1] + _CHUNK
-        edges.append(k if hi >= k else
-                     int(np.searchsorted(keys, keys[hi - 1] | slot_bits, "right")))
-    sizes = []
-    for lo, hi in zip(edges, edges[1:]):
-        vals = keys[lo:hi] >> shift
-        sizes.append(1 + int(np.count_nonzero(vals[1:] != vals[:-1])))
-    ms = np.empty(sum(sizes), dtype=np.int64)
+    # every group is counted, then summed, whole inside one pass
+    ms = np.empty(sum(starts.size for *_, starts in
+                      _ints._sorted_runs(keys, _CHUNK, shift)), dtype=np.int64)
     masses = np.empty(ms.size)
     g = 0
-    for lo, hi, size in zip(edges, edges[1:], sizes):
+    for lo, hi, starts in _ints._sorted_runs(keys, _CHUNK, shift):
         chunk = keys[lo:hi]
-        vals = chunk >> shift
-        new = np.empty(vals.size, dtype=bool)
-        new[0] = True
-        np.not_equal(vals[1:], vals[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        ms[g:g + size] = vals[starts]
-        masses[g:g + size] = np.add.reduceat(weights(chunk & slot_bits), starts)
-        g += size
+        ms[g:g + starts.size] = chunk[starts] >> shift
+        masses[g:g + starts.size] = np.add.reduceat(weights(chunk & slot_bits), starts)
+        g += starts.size
     zero_mass = 0.0
     if ms[0] == 0:
         zero_mass = float(masses[0])
@@ -236,7 +224,8 @@ class DensityRemainder:
 
 def density_remainder(seq: DiscSequence, d: int) -> DensityRemainder:
     """Divisor mass sum_{d | m} a_m against its linear-sieve main term
-    H^n phi_hat(0) / d."""
+    H^n phi_hat(0) / d.  d must be an integer."""
+    d = _integer("d", d)
     if d < 1 or not _ints.is_squarefree(d):
         raise ValueError("d must be a squarefree positive integer")
     mass = seq.divisible_mass(d)
@@ -294,28 +283,30 @@ def min_admissible_r(n: int) -> int:
 # wall_s / peak_rss_mb read 0.142 s / 33.6 MB at 2^13, 0.116 / 34.1 at
 # 2^14, 0.108 / 34.9 at 2^15 and 0.102 / 36.6 at 2^16, against 0.211 s /
 # 33.3 MB for 2^14 values cut by slab, unsorted: 2^16 would take the
-# benchmark's whole 10% RSS bound, 2^15 takes under half of it.
+# benchmark's whole 10% RSS bound, 2^15 takes under half of it.  The
+# groups are `_ints._sorted_runs` passes; their size never moves the table.
 _OMEGA_GROUP = 1 << 15
 
-
-def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
-                       budget: int | None = DEFAULT_BOX_BUDGET) -> int:
-    """Number of monic height-H degree-n polynomials with nonzero
-    discriminant having at most r distinct prime factors (optionally also
-    requiring the discriminant to be squarefree).  n, H and r must be
-    integers.
+def count_almost_prime(n: int, H: int, *,
+                       budget: int | None = DEFAULT_BOX_BUDGET) -> np.ndarray:
+    """The omega distribution of the monic height-H degree-n box, as an
+    int64 table `counts` of shape (16, 2): counts[w, s] box polynomials
+    have a nonzero Disc with omega(|Disc|) = w and squarefree flag s
+    (omega <= 15 below 2^63).  So counts[:r + 1].sum() have at most r
+    distinct prime factors, counts[:r + 1, 1].sum() squarefree ones among
+    them.  n and H must be integers.
 
     The nonzero |Disc| of the box are written into one int64 array, sorted
-    in place and cut into consecutive groups of at least _OMEGA_GROUP
-    values, each cut moved forward to the end of its run of equal values;
+    in place and cut by `_ints._sorted_runs` into groups of at least
+    _OMEGA_GROUP values, each ending where a run of equal values ends;
     each group takes one `omega_batch` call.  So every value goes through
     exactly one call, no distinct value reaches two calls, and each
     distinct |Disc| is factored once per box.  Memory: one int64 per box
     point, (2H+1)^n, allocated after the box is charged, plus
     `omega_batch`'s working arrays for one group."""
-    n, H, r = _integer("n", n), _integer("H", H), _integer("r", r)
-    if n < 2 or H < 1 or r < 0:
-        raise ValueError("need n >= 2, H >= 1, r >= 0")
+    n, H = _integer("n", n), _integer("H", H)
+    if n < 2 or H < 1:
+        raise ValueError("need n >= 2, H >= 1")
     blocks = _disc_blocks(n, H, True, budget)  # refuses before allocating
     vals = np.empty((2 * H + 1) ** n, dtype=np.int64)
     k = 0
@@ -325,18 +316,13 @@ def count_almost_prime(n: int, H: int, r: int, squarefree_only: bool = False,
         k += live.size
     vals = vals[:k]
     vals.sort()
-    total, lo = 0, 0
-    while lo < k:
-        hi = lo + _OMEGA_GROUP
-        if hi < k:
-            hi = int(np.searchsorted(vals, vals[hi - 1], "right"))
+    counts = np.zeros(32, dtype=np.int64)
+    for lo, hi, _starts in _ints._sorted_runs(vals, _OMEGA_GROUP):
         om, sqfree = _ints.omega_batch(vals[lo:hi])
-        ok = om <= r
-        if squarefree_only:
-            ok &= sqfree
-        total += int(np.count_nonzero(ok))
-        lo = hi
-    return total
+        om <<= 1
+        om |= sqfree
+        counts += np.bincount(om, minlength=32)
+    return counts.reshape(16, 2)
 
 
 def field_exponent(n: int, c_n) -> tuple[Fraction, Fraction]:

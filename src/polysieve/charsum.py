@@ -515,7 +515,10 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     same (Z/d)^dim contraction: phi wrapped against the psi_p tables, and
     phi_hat wrapped against the twisted psi_hat_p tables.  Each is charged
     `contraction_cost(d, dim)`, each prime p | d its table build and
-    transform, and the check refuses before any table is built."""
+    transform, and the check refuses before any table is built.  H must be
+    a finite positive number."""
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError(f"H must be a finite positive number, got {H!r}")
     if d < 1 or not is_squarefree(d):
         raise ValueError("modulus must be a squarefree positive integer")
     dim = space_dim(n, mode)

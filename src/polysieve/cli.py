@@ -227,6 +227,10 @@ def cmd_count(resolved: dict) -> int:
     kind = resolved["kind"]
     ns = resolved["n"]
     hs = sorted(resolved["H"])
+    if any(H < 1 for H in hs):
+        raise _Usage("height H must be >= 1")
+    if len(set(hs)) < len(hs):
+        raise _Usage("each height H may be given once")
     if kind == "an-count":
         if any(n < 3 for n in ns):
             raise _Usage("an-count needs n >= 3 (the exponent formulas start there)")
@@ -246,11 +250,15 @@ def cmd_count(resolved: dict) -> int:
         return 0
     if resolved["mode"] != charsum.MONIC:
         raise _Usage("almost-prime counts monic polynomials only")
+    if any(r < 0 for r in resolved["r"]):
+        raise _Usage("prime-factor cap r must be >= 0")
     rows = []
     for n in ns:
+        # one omega distribution per box; every r is a prefix sum of it
+        tables = [almostprime.count_almost_prime(n, H, budget=resolved["budget"])
+                  for H in hs]
         for r in resolved["r"]:
-            counts = [almostprime.count_almost_prime(n, H, r, budget=resolved["budget"])
-                      for H in hs]
+            counts = [int(table[:r + 1].sum()) for table in tables]
             for H, c, slope in zip(hs, counts, _slopes(hs, counts)):
                 rows.append((n, H, r, c, c * math.log(H) / H ** n, slope, n))
     _emit_csv(resolved, ["n", "H", "r", "count", "normalized",

@@ -259,9 +259,9 @@ class TestDiscSequence:
         with pytest.raises(BudgetExceededError):
             build_disc_sequence(4, 1, radius=1, budget=81 * 16 - 1)
         with pytest.raises(BudgetExceededError):
-            count_almost_prime(4, 1, 3, budget=81 * 16 - 1)
+            count_almost_prime(4, 1, budget=81 * 16 - 1)
         with pytest.raises(BudgetExceededError):
-            count_almost_prime(7, 1, 3, budget=3 ** 7 * 13 ** 3 - 1)
+            count_almost_prime(7, 1, budget=3 ** 7 * 13 ** 3 - 1)
         # the square-discriminant scan shares the cost model; a general box
         # has 2R leading coefficients
         square_disc_scan(3, 1, True, budget=27)
@@ -283,7 +283,7 @@ class TestDiscSequence:
         with pytest.raises(BudgetExceededError, match="int64"):
             build_disc_sequence(10, 3, radius=3, budget=None)
         with pytest.raises(BudgetExceededError, match="int64"):
-            count_almost_prime(10, 3, 3, budget=None)
+            count_almost_prime(10, 3, budget=None)
 
     def test_cubic_entries_match_oracle(self):
         # every histogram entry of a cubic box against a pointwise sum over
@@ -365,6 +365,18 @@ class TestDensityRemainder:
         with pytest.raises(ValueError):
             density_remainder(seq, 4)
 
+    def test_float_and_int64_overflowing_moduli(self):
+        # a float d was once echoed back as d=2.0, and a squarefree d past
+        # the int64 range died with OverflowError in divisible_mass
+        small = build_disc_sequence(3, 2, radius=3)
+        with pytest.raises(TypeError, match="^d must be an integer"):
+            density_remainder(small, 2.0)
+        d = 3 * 2 ** 62 + 1  # 13 * 211 * 5295463 * 952469857
+        assert d >= 2 ** 63 and is_squarefree(d)
+        rep = density_remainder(small, d)
+        assert rep.d == d and rep.divisor_mass == 0.0
+        assert rep.remainder == -rep.main
+
     def test_remainder_scan_envelope(self, seq):
         # measured envelope over squarefree d <= 30: report-style check that
         # remainders stay far below the main terms; with a Gaussian weight
@@ -426,41 +438,45 @@ class TestAdmissibility:
 
 class TestCountAlmostPrime:
     def test_vacuous_budget(self):
-        all_nonzero = count_almost_prime(3, 3, 100)
+        # every r >= 15 admits the whole table: all nonzero discriminants
+        table = count_almost_prime(3, 3)
+        assert table.shape == (16, 2) and table.dtype == np.int64
         direct = sum(1 for f in enumerate_box(3, 3, monic=True) if discriminant(f) != 0)
-        assert all_nonzero == direct
+        assert int(table.sum()) == direct
 
     def test_unit_discriminants(self):
-        got = count_almost_prime(3, 3, 0)
+        got = int(count_almost_prime(3, 3)[:1].sum())
         direct = sum(1 for f in enumerate_box(3, 3, monic=True)
                      if abs(discriminant(f)) == 1)
         assert got == direct
 
     def test_matches_scalar_omega(self):
-        got = count_almost_prime(3, 4, 2)
+        # every cell of the table, which holds every r <= 2 among them
+        table = count_almost_prime(3, 4)
+        assert np.array_equal(table, omega_table(cubic_omegas(4)))
         direct = 0
         for f in enumerate_box(3, 4, monic=True):
             d = discriminant(f)
             if d != 0 and omega(d) <= 2:
                 direct += 1
-        assert got == direct
+        assert int(table[:3].sum()) == direct
 
     def test_squarefree_filter(self):
-        got = count_almost_prime(3, 3, 3, squarefree_only=True)
+        table = count_almost_prime(3, 3)
+        got = int(table[:4, 1].sum())
         direct = 0
         for f in enumerate_box(3, 3, monic=True):
             d = discriminant(f)
             if d != 0 and omega(d) <= 3 and is_squarefree(d):
                 direct += 1
         assert got == direct
-        assert got <= count_almost_prime(3, 3, 3)
+        assert got <= int(table[:4].sum())
 
     @pytest.mark.parametrize("args, name", [
-        ((3, 2, 2.5), "r"),
-        ((3, 2.5, 3), "H"),
-        ((3.0, 2, 3), "n"),
-        ((3, 2.0, 3), "H"),
-        ((3, 2, "3"), "r"),
+        ((3, "2"), "H"),
+        ((3, 2.5), "H"),
+        ((3.0, 2), "n"),
+        ((3, 2.0), "H"),
     ])
     def test_non_integer_refused_before_allocation(self, monkeypatch, args, name):
         def fail(*_a, **_k):
@@ -472,8 +488,8 @@ class TestCountAlmostPrime:
             count_almost_prime(*args)
 
     def test_integer_types_accepted(self):
-        assert count_almost_prime(np.int64(3), np.int32(4), np.uint8(2)) == \
-            count_almost_prime(3, 4, 2)
+        assert np.array_equal(count_almost_prime(np.int64(3), np.int32(4)),
+                              count_almost_prime(3, 4))
 
     def test_budget_refused_before_allocation(self, monkeypatch):
         # the one int64 per box point is allocated after the box is charged
@@ -482,7 +498,7 @@ class TestCountAlmostPrime:
 
         monkeypatch.setattr(np, "empty", fail)
         with pytest.raises(BudgetExceededError):
-            count_almost_prime(3, 10 ** 4, 3, budget=10 ** 6)
+            count_almost_prime(3, 10 ** 4, budget=10 ** 6)
 
     def test_oracle_h12(self):
         # |Disc| reaches ~10^6, so cofactors above the trial-division bound
@@ -509,7 +525,7 @@ class TestCountAlmostPrime:
             return omega_batch(vals)
 
         monkeypatch.setattr(_ints, "omega_batch", recording)
-        count_almost_prime(3, H, 3)
+        count_almost_prime(3, H)
         sizes = [c.size for c in calls]
         assert sum(sizes) == nonzero
         assert nonzero == sum(int(np.count_nonzero(d))
@@ -524,8 +540,8 @@ class TestCountAlmostPrime:
         assert sum(np.unique(c).size for c in calls) == {20: 17_353, 30: 58_047}[H]
 
     def test_stability_small(self):
-        c1 = count_almost_prime(3, 15, 3)
-        c2 = count_almost_prime(3, 30, 3)
+        c1 = int(count_almost_prime(3, 15)[:4].sum())
+        c2 = int(count_almost_prime(3, 30)[:4].sum())
         r1 = c1 / (15 ** 3 / math.log(15))
         r2 = c2 / (30 ** 3 / math.log(30))
         assert r1 > 0 and r2 > 0
@@ -561,20 +577,32 @@ def stable_argsort_histogram(n, H, R):
 
 
 @lru_cache(maxsize=None)
-def h12_oracle():
+def cubic_omegas(H):
     """(omega, squarefree) of every nonzero Disc in the monic cubic box of
-    height 12, by Bareiss and scalar trial division."""
+    height H, by Bareiss and scalar trial division."""
     return [(omega(d), is_squarefree(d))
-            for d in map(discriminant, enumerate_box(3, 12, monic=True))
+            for d in map(discriminant, enumerate_box(3, H, monic=True))
             if d != 0]
 
 
+def omega_table(omegas):
+    """counts[omega, squarefree] of (omega, squarefree) pairs."""
+    counts = np.zeros((16, 2), dtype=np.int64)
+    for o, sf in omegas:
+        counts[o, int(sf)] += 1
+    return counts
+
+
 def assert_counts_match_h12_oracle():
+    # all ten (r, squarefree_only) counts, and every cell, from one pass
+    table = count_almost_prime(3, 12)
     for r in range(5):
         for squarefree_only in (False, True):
-            want = sum(1 for o, sf in h12_oracle()
+            want = sum(1 for o, sf in cubic_omegas(12)
                        if o <= r and (sf or not squarefree_only))
-            assert count_almost_prime(3, 12, r, squarefree_only) == want
+            got = table[:r + 1, 1].sum() if squarefree_only else table[:r + 1].sum()
+            assert int(got) == want, (r, squarefree_only)
+    assert np.array_equal(table, omega_table(cubic_omegas(12)))
 
 
 def assert_matches_scalar(values):
@@ -596,6 +624,53 @@ SPSP_2_7_61 = 4759123141
 STRADDLE = (2146654199, 2147673613)
 # The primes 2^31 - 1 and 2^31 + 11.
 PRIMES_AT_LIMIT = (2 ** 31 - 1, 2 ** 31 + 11)
+
+
+def sorted_keys(size, values, shift, seed):
+    """size sorted int64 keys value << shift | low, values drawn from
+    range(values) so that runs repeat, low bits at random."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, values, size) << shift | rng.integers(0, 1 << shift, size)
+    keys.sort()
+    return keys
+
+
+class TestSortedRuns:
+    @pytest.mark.parametrize("keys, shift", [
+        (np.array([], dtype=np.int64), 0),
+        (np.array([7], dtype=np.int64), 0),
+        (np.full(9, 5, dtype=np.int64), 0),                   # one run
+        (np.array([1, 1, 2, 3, 3, 3, 4, 9, 9, 9, 9, 10]), 0),
+        (sorted_keys(300, 40, 0, 1), 0),
+        (sorted_keys(300, 40, 5, 2), 5),                      # packed keys
+        (np.array([5 << 3 | 1, 5 << 3 | 6, 6 << 3, 6 << 3 | 7]), 3),
+    ])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 1000])
+    def test_matches_unique(self, keys, shift, size):
+        # run starts are np.unique's first indices of keys >> shift; passes
+        # tile the array, each of at least size entries (the last one may
+        # be shorter), and a cut that falls inside a run moves to its end
+        keys = np.asarray(keys, dtype=np.int64)
+        vals = keys >> shift
+        passes = list(_ints._sorted_runs(keys, size, shift))
+        edges = [0] + [hi for _lo, hi, _s in passes]
+        assert [lo for lo, _hi, _s in passes] == edges[:-1]
+        assert edges[-1] == keys.size
+        starts = [lo + int(s) for lo, _hi, st in passes for s in st]
+        assert starts == np.unique(vals, return_index=True)[1].tolist()
+        for lo, hi, st in passes:
+            assert st.dtype == np.intp and st[0] == 0
+            if hi < keys.size:
+                assert hi - lo >= size
+                # the pass ends with the run holding its size-th entry
+                assert vals[hi - 1] == vals[lo + size - 1] != vals[hi]
+
+    def test_cut_moves_inside_a_run(self):
+        # size 2 falls in the middle of the run of 3s: the pass takes the
+        # whole run and the next pass starts at 4
+        passes = list(_ints._sorted_runs(np.array([3, 3, 3, 4, 4, 5]), 2))
+        assert [(lo, hi, st.tolist()) for lo, hi, st in passes] == \
+            [(0, 3, [0]), (3, 5, [0]), (5, 6, [0])]
 
 
 class TestOmegaBatch:

@@ -614,3 +614,13 @@ class TestPoisson:
         monkeypatch.setattr(charsum, "weight_table", no_table)
         with pytest.raises(ValueError, match="squarefree"):
             poisson_check(3, MONIC, 12, 4, "mobius-half")
+
+    @pytest.mark.parametrize("H", [0, -2, 0.0, math.inf, -math.inf, math.nan])
+    def test_bad_height_refused_before_tables(self, monkeypatch, H):
+        # H = 0 once reached the dual side's u H / d and divided by zero
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        with pytest.raises(ValueError, match="H must be a finite positive number"):
+            poisson_check(3, MONIC, 6, H, "mobius-half")

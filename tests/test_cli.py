@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from polysieve import cli, zpoly
+from polysieve import _ints, almostprime, cli, sieve, zpoly
+from polysieve._ints import omega_batch
 from polysieve.cli import DEFAULT_BUDGET, main
 
 
@@ -210,6 +211,70 @@ class TestCount:
         err = capsys.readouterr().err
         assert err.startswith("budget refusal:") and err.count("\n") == 1
 
+    # CSV body of `count --kind almost-prime --n 3 --H 5,10,12 --r 0,1,2,3,4`
+    # as written when the count made one pass over the box per (r, H)
+    MULTI_R_GOLDEN = """\
+n,H,r,count,normalized,slope,theory_exponent
+3,5,0,0,0.0,,3
+3,10,0,0,0.0,,3
+3,12,0,0,0.0,,3
+3,5,1,344,4.429173135018644,,3
+3,10,1,1370,3.154541577401843,1.993695423145791,3
+3,12,1,2138,3.0744967692400142,2.4410721397349167,3
+3,5,2,1114,14.343310675612702,,3
+3,10,2,6058,13.94906049335793,2.443092345455341,3
+3,12,2,9440,13.574952994212223,2.4329337427370623,3
+3,5,3,1300,16.738154289314643,,3
+3,10,3,8842,20.359457392253354,2.7658611110382494,3
+3,12,3,14702,21.14183886874027,2.788866289258804,3
+3,5,4,1304,16.789656302512533,,3
+3,10,4,9198,21.179177685359235,2.8183763281488563,3
+3,12,4,15534,22.338275403823378,2.874290402598733,3
+"""
+
+    def test_almost_prime_every_r_from_one_pass(self, tmp_path, monkeypatch):
+        # the r list is read from one omega distribution per box: the body
+        # is unchanged and omega_batch sees exactly the values of one r
+        seen = []
+
+        def recording(vals):
+            seen.append(vals.size)
+            return omega_batch(vals)
+
+        monkeypatch.setattr(_ints, "omega_batch", recording)
+        out = tmp_path / "ap.csv"
+        argv = ["count", "--kind", "almost-prime", "--n", "3", "--H", "5,10,12"]
+        assert main(argv + ["--r", "0,1,2,3,4", "--out", str(out)]) == 0
+        _, body = read_csv(out)
+        assert "\n".join(body) + "\n" == self.MULTI_R_GOLDEN
+        multi = sum(seen)
+        seen.clear()
+        assert main(argv + ["--r", "3", "--out", str(out)]) == 0
+        assert multi == sum(seen) > 0
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("an-count", ["--H", "3,3"]),
+        ("almost-prime", ["--H", "3,3"]),
+        ("an-count", ["--H=-2,0"]),
+        ("almost-prime", ["--H=-2,0"]),
+        ("almost-prime", ["--H", "4", "--r=-1"]),
+        ("almost-prime", ["--H", "4", "--r", "3,-1"]),
+    ])
+    def test_bad_height_or_cap_refused_before_work(self, tmp_path, monkeypatch, capsys,
+                                                   kind, flags):
+        # --H 3,3 once exited 4 (ZeroDivisionError in the slopes), and
+        # an-count once wrote count-0 rows for H < 1
+        def fail(*_a, **_k):
+            raise AssertionError("a box was counted")
+
+        monkeypatch.setattr(almostprime, "count_almost_prime", fail)
+        monkeypatch.setattr(sieve, "count_an_box", fail)
+        out = tmp_path / "x.csv"
+        assert main(["count", "--kind", kind, "--n", "3", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAdmissibility:
     def test_table(self, tmp_path):
@@ -276,6 +341,16 @@ class TestPoissonCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "squarefree" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_height_is_usage_error(self, tmp_path, capsys):
+        # once exit 4 with ZeroDivisionError
+        out = tmp_path / "p.csv"
+        argv = ["poisson-check", "--n", "3", "--d", "6", "--H", "0", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "H must be a finite positive number" in err
         assert not out.exists()
 
     def test_degree_zero_is_usage_error(self, tmp_path, capsys):
