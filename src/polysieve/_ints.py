@@ -75,15 +75,18 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(int(p) for p in np.nonzero(flags)[0])
 
 
-def _factor(m: int) -> list[tuple[int, int]]:
-    """Ascending (p, e) pairs of |m| by 2/3/5-wheel trial division."""
+def _trial_division(m: int, limit: int | None = None) -> tuple[list[tuple[int, int]], int]:
+    """(pairs, rest) for |m| by 2/3/5-wheel trial division: the ascending
+    (p, e) of the primes divided out, and the cofactor they leave.  Division
+    stops once p * p > rest, so rest is 1 or a prime, or after the last
+    p <= limit; a rest above the limit has no prime factor <= limit."""
     m = abs(m)
     if m == 0:
         raise ValueError("zero has no factorization")
     out = []
     # 2, 3, 5, 7, then the wheel gaps
     p, gaps = 2, itertools.chain((1, 2, 2), itertools.cycle(_WHEEL))
-    while p * p <= m:
+    while p * p <= m and (limit is None or p <= limit):
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -91,9 +94,13 @@ def _factor(m: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
         p += next(gaps)
-    if m > 1:
-        out.append((m, 1))
-    return out
+    return out, m
+
+
+def _factor(m: int) -> list[tuple[int, int]]:
+    """Ascending (p, e) pairs of |m| by 2/3/5-wheel trial division."""
+    out, rest = _trial_division(m)
+    return out + [(rest, 1)] if rest > 1 else out
 
 
 def prime_factors(m: int) -> tuple[int, ...]:
@@ -158,18 +165,19 @@ def square_mask(vals: np.ndarray) -> np.ndarray:
 
 
 def _sorted_runs(vals: np.ndarray, size: int, shift: int = 0):
-    """Passes (lo, hi, starts) over a sorted int64 array: vals[lo:hi] holds
+    """Passes (lo, hi, new) over a sorted int64 array: vals[lo:hi] holds
     at least `size` entries, or the rest, and ends where a run of equal
-    `vals >> shift` ends; `starts` are the offsets of its runs' starts."""
+    `vals >> shift` ends; the bool mask `new` marks its runs' starts.  Only
+    vals[lo:] is read, so the caller may overwrite vals[:hi] between passes."""
     lo, k, low_bits = 0, vals.size, (1 << shift) - 1
     while lo < k:
-        hi = k if lo + size >= k else int(
-            np.searchsorted(vals, vals[lo + size - 1] | low_bits, "right"))
+        hi = k if lo + size >= k else lo + int(
+            np.searchsorted(vals[lo:], vals[lo + size - 1] | low_bits, "right"))
         run = vals[lo:hi] >> shift if shift else vals[lo:hi]
         new = np.empty(run.size, dtype=bool)
         new[0] = True
         np.not_equal(run[1:], run[:-1], out=new[1:])
-        yield lo, hi, np.flatnonzero(new)
+        yield lo, hi, new
         lo = hi
 
 
@@ -226,10 +234,11 @@ def omega_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if vals[0] == 0:
         raise ValueError("omega_batch: zero entry")
     # factor each distinct value once; its run of equal values shares the result
-    (_lo, _hi, starts), = _sorted_runs(vals, vals.size)
+    (_lo, _hi, new), = _sorted_runs(vals, vals.size)
+    starts = np.flatnonzero(new)
     rem = vals[starts]
     runs = np.diff(starts, append=vals.size)
-    del vals, starts
+    del vals, new, starts
     counts = np.zeros(rem.shape, dtype=np.int64)
     sqfree = np.ones(rem.shape, dtype=bool)
     bound = max(2, round(int(rem[-1]) ** (1 / 3)) + 2)

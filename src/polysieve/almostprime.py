@@ -35,6 +35,22 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+# entries per `_ints._sorted_runs` pass, at least, in the histogram and in
+# count_almost_prime (its omega_batch groups).  Histogram passes allocate
+# nothing of point or output size, and their 256 KiB temporaries stay in
+# the allocator's heap: at 2^16 keys a pass, the cubic build at H = 30 took
+# 4.7x the page faults and ~15% more time (2^13 to 2^15 alike).  Each
+# omega_batch call pays a fixed numpy cost per trial prime and Miller-Rabin
+# step, and its working arrays grow with it: on the almost-prime benchmark
+# (cubic boxes H = 20, 30; 2 vCPU, numpy 2.4.6; medians of four 10 s runs)
+# wall_s / peak_rss_mb read 0.142 s / 33.6 MB at 2^13, 0.116 / 34.1 at
+# 2^14, 0.108 / 34.9 at 2^15 and 0.102 / 36.6 at 2^16, against 0.211 s /
+# 33.3 MB for 2^14 values cut by slab, unsorted: 2^16 would take that
+# benchmark's whole 10% RSS bound, 2^15 under half of it.  The pass size
+# never moves the histogram or the table.
+_PASS = 1 << 15
+
+
 # ---------------------------------------------------------------------------
 # the discriminant histogram
 # ---------------------------------------------------------------------------
@@ -48,7 +64,7 @@ class DiscSequence:
     H: float
     phi: SmoothWeight
     radius: int
-    ms: np.ndarray        # int64, sorted unique |Disc| > 0
+    ms: np.ndarray        # int64, sorted unique |Disc| > 0 (built: a view of its keys)
     masses: np.ndarray    # float64, same length
     zero_mass: float
 
@@ -66,22 +82,14 @@ class DiscSequence:
         # masses[ms % d == 0].sum(), with no temporary of output size
         hits = np.empty(self.ms.size)
         k = 0
-        for lo in range(0, self.ms.size, _CHUNK):
-            ms = self.ms[lo:lo + _CHUNK]
+        for lo in range(0, self.ms.size, _PASS):
+            ms = self.ms[lo:lo + _PASS]
             # int64 division by a scalar is much cheaper than the remainder
             mask = ms // d * d == ms
             m = int(np.count_nonzero(mask))
-            np.compress(mask, self.masses[lo:lo + _CHUNK], out=hits[k:k + m])
+            np.compress(mask, self.masses[lo:lo + _PASS], out=hits[k:k + m])
             k += m
         return float(hits[:k].sum())
-
-
-# keys per pass after the sort, at least.  The counting and filling passes
-# allocate nothing of point size or of output size, and their temporaries
-# of 256 KiB each stay in the allocator's heap from pass to pass: at 2^16
-# keys a pass, the cubic build at H = 30 took 4.7x the page faults and
-# ~15% more time (2^13 to 2^15 measured alike).
-_CHUNK = 1 << 15
 
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
@@ -111,12 +119,15 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
     enumeration order and their masses, multiplicity times weight
     (doubling is exact), add up in that order.  The Disc = 0 group, if
     any, sorts first; its mass is `zero_mass`.  After the sort, passes of
-    about _CHUNK keys, each ending where a group of equal |Disc| ends,
-    count the groups and then fill the outputs.  Memory: one int64 key
-    per point of the half box, (R+1)(2R+1)^(n-1), plus the outputs (an
-    int64 and a float64 per distinct |Disc|) and temporaries of one pass
-    or one block.  The budget is charged `box_cost` of the full box,
-    about twice what is scanned.
+    at least _PASS keys, each ending where a group of equal |Disc| ends,
+    count the groups, then sum each into `masses` and write its |Disc|
+    over the front of the keys, behind the pass: that front is `ms`.
+    Memory at the peak: one int64 key per point of the half box,
+    (R+1)(2R+1)^(n-1), one float64 per distinct |Disc| and temporaries of
+    one pass or one block.  The result keeps the whole key buffer, of which
+    `ms` is a view: 36.7 MB at H = 30, against 19.6 MB for `ms` alone.
+    The budget is charged `box_cost` of the full box, about twice what is
+    scanned.
     Domain: max |Disc| < 2^(63 - shift), checked on
     `zpoly._ldisc_abs_bound` before any allocation; a box outside it is
     refused with BudgetExceededError."""
@@ -197,21 +208,18 @@ def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
         k += discs.size
     keys = keys[:k]
     keys.sort()
-    # every group is counted, then summed, whole inside one pass
-    ms = np.empty(sum(starts.size for *_, starts in
-                      _ints._sorted_runs(keys, _CHUNK, shift)), dtype=np.int64)
-    masses = np.empty(ms.size)
+    # each group is counted, then summed whole in one pass; g <= lo
+    masses = np.empty(sum(int(np.count_nonzero(new)) for *_, new in
+                          _ints._sorted_runs(keys, _PASS, shift)))
     g = 0
-    for lo, hi, starts in _ints._sorted_runs(keys, _CHUNK, shift):
-        chunk = keys[lo:hi]
-        ms[g:g + starts.size] = chunk[starts] >> shift
+    for lo, hi, new in _ints._sorted_runs(keys, _PASS, shift):
+        chunk, starts = keys[lo:hi], np.flatnonzero(new)
         masses[g:g + starts.size] = np.add.reduceat(weights(chunk & slot_bits), starts)
+        np.right_shift(chunk[starts], shift, out=keys[g:g + starts.size])
         g += starts.size
-    zero_mass = 0.0
-    if ms[0] == 0:
-        zero_mass = float(masses[0])
-        ms, masses = ms[1:], masses[1:]
-    return DiscSequence(n, H, phi, R, ms, masses, zero_mass)
+    zero = int(keys[0] == 0)  # the Disc = 0 group, if any
+    zero_mass = float(masses[0]) if zero else 0.0
+    return DiscSequence(n, H, phi, R, keys[zero:g], masses[zero:], zero_mass)
 
 
 @dataclass(frozen=True)
@@ -276,17 +284,6 @@ def min_admissible_r(n: int) -> int:
 # counting and exponents
 # ---------------------------------------------------------------------------
 
-# nonzero |Disc| per omega_batch call in count_almost_prime, at least.
-# Each call pays a fixed numpy cost per trial prime and Miller-Rabin step,
-# and its working arrays grow with it.  On the almost-prime benchmark
-# (cubic boxes H = 20, 30; 2 vCPU, numpy 2.4.6; medians of four 10 s runs)
-# wall_s / peak_rss_mb read 0.142 s / 33.6 MB at 2^13, 0.116 / 34.1 at
-# 2^14, 0.108 / 34.9 at 2^15 and 0.102 / 36.6 at 2^16, against 0.211 s /
-# 33.3 MB for 2^14 values cut by slab, unsorted: 2^16 would take the
-# benchmark's whole 10% RSS bound, 2^15 takes under half of it.  The
-# groups are `_ints._sorted_runs` passes; their size never moves the table.
-_OMEGA_GROUP = 1 << 15
-
 def count_almost_prime(n: int, H: int, *,
                        budget: int | None = DEFAULT_BOX_BUDGET) -> np.ndarray:
     """The omega distribution of the monic height-H degree-n box, as an
@@ -298,7 +295,7 @@ def count_almost_prime(n: int, H: int, *,
 
     The nonzero |Disc| of the box are written into one int64 array, sorted
     in place and cut by `_ints._sorted_runs` into groups of at least
-    _OMEGA_GROUP values, each ending where a run of equal values ends;
+    _PASS values, each ending where a run of equal values ends;
     each group takes one `omega_batch` call.  So every value goes through
     exactly one call, no distinct value reaches two calls, and each
     distinct |Disc| is factored once per box.  Memory: one int64 per box
@@ -317,7 +314,7 @@ def count_almost_prime(n: int, H: int, *,
     vals = vals[:k]
     vals.sort()
     counts = np.zeros(32, dtype=np.int64)
-    for lo, hi, _starts in _ints._sorted_runs(vals, _OMEGA_GROUP):
+    for lo, hi, _new in _ints._sorted_runs(vals, _PASS):
         om, sqfree = _ints.omega_batch(vals[lo:hi])
         om <<= 1
         om |= sqfree

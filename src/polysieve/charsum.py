@@ -67,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._ints import is_prime, is_squarefree, prime_factors
+from ._ints import _trial_division, is_prime, prime_factors
 from .errors import BudgetExceededError
 from .zpoly import _disc
 
@@ -230,10 +230,14 @@ def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=None)
-def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
+def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError(f"weight tables need degree n >= 1, got n={n}")
+
+
+@lru_cache(maxsize=None)
+def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
+    _check_degree(n)
     if not is_prime(p):
         raise ValueError(f"weight tables need a prime modulus, got p={p}")
     size = p ** space_dim(n, mode)
@@ -371,7 +375,11 @@ class SmoothWeight:
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         try:
-            amplitude = math.exp(math.pi * dim / sigma ** 2)
+            sigma2 = sigma ** 2
+        except OverflowError:  # then exp(pi*dim/sigma^2) is exp(0) = 1.0
+            sigma2 = math.inf
+        try:
+            amplitude = math.exp(math.pi * dim / sigma2)
         except (OverflowError, ZeroDivisionError):  # sigma^2 may underflow to 0
             amplitude = math.inf
         if amplitude == math.inf:
@@ -396,7 +404,11 @@ class SmoothWeight:
         return np.exp(-math.pi * np.asarray(arr, dtype=np.float64) ** 2 / self.sigma ** 2)
 
     def lattice_radius(self, scale: float, rel_tol: float = 1e-16) -> int:
-        return math.ceil(self.sigma * scale * math.sqrt(math.log(1 / rel_tol) / math.pi)) + 1
+        radius = self.sigma * scale * math.sqrt(math.log(1 / rel_tol) / math.pi)
+        if not math.isfinite(radius):
+            raise BudgetExceededError(
+                f"sigma {self.sigma} at scale {scale}: the lattice radius is not finite")
+        return math.ceil(radius) + 1
 
 
 def _split_cost(A: int, B: int, dim: int) -> int:
@@ -485,8 +497,13 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
                        phi: SmoothWeight, H: float) -> float:
     """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
     Gaussian folded into wrapped per-residue weights, so no truncation
-    enters beyond machine precision."""
+    enters beyond machine precision.  A profile of 2R + 2d + 1 entries
+    over _TABLE_SIZE_CAP is refused before any table is built."""
     R = phi.lattice_radius(H, 1e-18)
+    if 2 * R + 2 * d + 1 > _TABLE_SIZE_CAP:
+        raise BudgetExceededError(
+            f"lattice profile at radius {R:.4g}, d={d}: 2R + 2d + 1 entries, "
+            f"over {_TABLE_SIZE_CAP}")
     span = np.arange(-R - d, R + d + 1)
     theta = np.zeros(d)
     np.add.at(theta, span % d, phi.coord_profile(span / H))
@@ -516,21 +533,44 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     phi_hat wrapped against the twisted psi_hat_p tables.  Each is charged
     `contraction_cost(d, dim)`, each prime p | d its table build and
     transform, and the check refuses before any table is built.  H must be
-    a finite positive number."""
+    a finite positive number and n >= 1.
+
+    Every prime p | d needs a p^dim table of at most _TABLE_SIZE_CAP
+    entries, so d is trial-divided only by the primes up to that bound
+    (368 at dim 3, 84 at dim 4): a repeated prime there is a ValueError,
+    and a cofactor left above it is refused with BudgetExceededError.  So
+    is a wrapped profile, 2R + 2d + 1 entries on the lattice side and
+    2U + 1 on the dual side, over _TABLE_SIZE_CAP or of infinite length."""
     if not (math.isfinite(H) and H > 0):
         raise ValueError(f"H must be a finite positive number, got {H!r}")
-    if d < 1 or not is_squarefree(d):
-        raise ValueError("modulus must be a squarefree positive integer")
+    _check_degree(n)  # dim 0 would bound no prime
     dim = space_dim(n, mode)
+    cap = round(_TABLE_SIZE_CAP ** (1 / dim))
+    cap -= cap ** dim > _TABLE_SIZE_CAP  # the largest p with p^dim <= the cap
+    if d >= 1:
+        pairs, rest = _trial_division(d, cap)
+    if d < 1 or any(e > 1 for _p, e in pairs):
+        raise ValueError("modulus must be a squarefree positive integer")
+    if rest > cap:
+        raise BudgetExceededError(
+            f"modulus d={d} has a prime factor above {cap}, whose {dim}-coordinate "
+            f"weight table would exceed {_TABLE_SIZE_CAP} entries")
     cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in prime_factors(d))
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"poisson check at d={d} (two contractions, {dim} coordinates, "
             f"tables included) costs {cost}, over budget {budget}")
     phi = phi if phi is not None else SmoothWeight()
+    try:
+        U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)
+    except (OverflowError, ZeroDivisionError):  # d / (sigma H) is not finite
+        U = math.inf
+    if 2 * U + 1 > _TABLE_SIZE_CAP:
+        raise BudgetExceededError(
+            f"dual profile at d={d}, sigma {phi.sigma}, H={H}: 2U + 1 = {2 * U + 1:.4g} "
+            f"entries, over {_TABLE_SIZE_CAP}")
     lhs = lattice_weight_sum(d, n, mode, rule, phi, H)
 
-    U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)
     # phi_hat(xi) = phi_hat(0) * prod_i exp(-pi sigma^2 xi_i^2): wrap each
     # coordinate's factor at xi = u H / d onto u mod d
     us = np.arange(-U, U + 1)

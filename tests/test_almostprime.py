@@ -141,8 +141,9 @@ class TestDiscSequence:
     def test_pass_edges_match_oracle(self, monkeypatch, chunk, n, H, radius):
         # passes of 1, 2 or 3 keys before each edge moves to its group's
         # end: groups of equal |Disc| (the zero group among them) cross
-        # several chunk marks and must still count and sum whole
-        monkeypatch.setattr(almostprime, "_CHUNK", chunk)
+        # several pass marks and must still count and sum whole, and each
+        # pass writes its |Disc| over keys the next pass no longer reads
+        monkeypatch.setattr(almostprime, "_PASS", chunk)
         seq = build_disc_sequence(n, H, SmoothWeight(), radius=radius)
         ms, masses, zero_mass = stable_argsort_histogram(n, H, radius)
         assert np.array_equal(seq.ms, ms)
@@ -223,13 +224,14 @@ class TestDiscSequence:
             build_disc_sequence(*args, **kwargs)
 
     def test_memory_is_one_key_per_point(self):
-        # one int64 key per point of the half box, 61 * 121^2, the two
-        # outputs per distinct |Disc| (values, masses) and a fixed allowance
-        # for the per-block and per-pass temporaries (2.2 MiB measured); a
-        # key array over the full box, 121^3, would add 6.7 MiB and break
-        # the bound, and so would a float mass array beside the keys, an
-        # int64 of group starts per distinct |Disc| (3.6 MiB) or a bool per
-        # key (0.9 MiB) beside the outputs
+        # one int64 key per point of the half box, 61 * 121^2, one float64
+        # mass per distinct |Disc| (the |Disc| themselves overwrite the
+        # front of the keys) and a fixed allowance for the per-block and
+        # per-pass temporaries (2.2 MiB measured); a key array over the
+        # full box, 121^3, would add 6.7 MiB and break the bound, and so
+        # would a float mass array beside the keys, an int64 per distinct
+        # |Disc| beside the keys (values or group starts, 3.6 MiB) or a
+        # bool per key (0.9 MiB) beside the outputs
         tracemalloc.start()
         try:
             seq = build_disc_sequence(3, 20, radius=60)
@@ -237,7 +239,7 @@ class TestDiscSequence:
         finally:
             tracemalloc.stop()
         points = 61 * 121 ** 2
-        assert peak < 8 * points + 16 * seq.ms.size + 3 * 2 ** 20
+        assert peak < 8 * points + 8 * seq.ms.size + 3 * 2 ** 20
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -510,7 +512,7 @@ class TestCountAlmostPrime:
     def test_oracle_h12_small_groups(self, monkeypatch, group):
         # 1: every call is one run of equal |Disc|; 700: 9 of the 22 cuts
         # fall inside a run and move to its end
-        monkeypatch.setattr(almostprime, "_OMEGA_GROUP", group)
+        monkeypatch.setattr(almostprime, "_PASS", group)
         assert_counts_match_h12_oracle()
 
     @pytest.mark.parametrize("H, nonzero", [(20, 68_808), (30, 226_808)])
@@ -530,7 +532,7 @@ class TestCountAlmostPrime:
         assert sum(sizes) == nonzero
         assert nonzero == sum(int(np.count_nonzero(d))
                               for _c, d in _disc_blocks(3, H, True, None))
-        assert min(sizes[:-1]) >= almostprime._OMEGA_GROUP
+        assert min(sizes[:-1]) >= almostprime._PASS
         # each call is an ascending value range above the previous one, so
         # no distinct |Disc| reaches two calls: each is factored once
         for c in calls:
@@ -653,13 +655,13 @@ class TestSortedRuns:
         keys = np.asarray(keys, dtype=np.int64)
         vals = keys >> shift
         passes = list(_ints._sorted_runs(keys, size, shift))
-        edges = [0] + [hi for _lo, hi, _s in passes]
-        assert [lo for lo, _hi, _s in passes] == edges[:-1]
+        edges = [0] + [hi for _lo, hi, _new in passes]
+        assert [lo for lo, _hi, _new in passes] == edges[:-1]
         assert edges[-1] == keys.size
-        starts = [lo + int(s) for lo, _hi, st in passes for s in st]
+        starts = [lo + int(s) for lo, _hi, new in passes for s in np.flatnonzero(new)]
         assert starts == np.unique(vals, return_index=True)[1].tolist()
-        for lo, hi, st in passes:
-            assert st.dtype == np.intp and st[0] == 0
+        for lo, hi, new in passes:
+            assert new.dtype == bool and new.size == hi - lo and new[0]
             if hi < keys.size:
                 assert hi - lo >= size
                 # the pass ends with the run holding its size-th entry
@@ -669,8 +671,30 @@ class TestSortedRuns:
         # size 2 falls in the middle of the run of 3s: the pass takes the
         # whole run and the next pass starts at 4
         passes = list(_ints._sorted_runs(np.array([3, 3, 3, 4, 4, 5]), 2))
-        assert [(lo, hi, st.tolist()) for lo, hi, st in passes] == \
-            [(0, 3, [0]), (3, 5, [0]), (5, 6, [0])]
+        assert [(lo, hi, new.tolist()) for lo, hi, new in passes] == \
+            [(0, 3, [True, False, False]), (3, 5, [True, False]), (5, 6, [True])]
+
+    @pytest.mark.parametrize("keys, shift", [
+        (np.full(9, 5, dtype=np.int64), 0),
+        (np.array([1, 1, 2, 3, 3, 3, 4, 9, 9, 9, 9, 10]), 0),
+        (sorted_keys(300, 40, 0, 3), 0),
+        (sorted_keys(300, 40, 5, 4), 5),
+        (sorted_keys(300, 3, 5, 5), 5),                       # long runs
+    ])
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    @pytest.mark.parametrize("fill", [0, -1, 2 ** 62])
+    def test_overwriting_behind_the_pass(self, keys, shift, size, fill):
+        # the histogram writes over everything behind the pass it was just
+        # given: the cuts and masks must equal those of an untouched copy
+        keys = np.asarray(keys, dtype=np.int64)
+        want = [(lo, hi, new.copy()) for lo, hi, new in _ints._sorted_runs(keys, size, shift)]
+        work, got = keys.copy(), []
+        for lo, hi, new in _ints._sorted_runs(work, size, shift):
+            got.append((lo, hi, new.copy()))
+            work[:hi] = fill
+        assert [(lo, hi) for lo, hi, _new in got] == [(lo, hi) for lo, hi, _new in want]
+        for (_lo, _hi, a), (_lo2, _hi2, b) in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestOmegaBatch:

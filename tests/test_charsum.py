@@ -420,6 +420,24 @@ class TestSmoothWeight:
             with pytest.raises(ValueError, match="overflows"):
                 SmoothWeight.box_calibrated(dim, sigma)
 
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.5, 1e10, 1e154, 1.3407807929942596e154])
+    def test_box_calibration_bit_for_bit(self, sigma):
+        # every sigma whose square is finite keeps its amplitude exactly
+        assert SmoothWeight.box_calibrated(3, sigma).amplitude == \
+            math.exp(math.pi * 3 / sigma ** 2)
+
+    @pytest.mark.parametrize("sigma", [1.35e154, 1e160, 1e300, 1e308, 1.7976931348623157e308])
+    def test_box_calibration_of_a_large_sigma(self, sigma):
+        # sigma^2 overflows, so exp(pi*dim/sigma^2) is exp(0) = 1.0; the
+        # overflow was once read as sigma^2 underflowing, "sigma too small"
+        assert SmoothWeight.box_calibrated(3, sigma).amplitude == 1.0
+
+    @pytest.mark.parametrize("sigma, scale", [(1e308, 4.0), (1.0, math.inf), (1e200, 1e200)])
+    def test_infinite_lattice_radius_refused(self, sigma, scale):
+        # math.ceil of an infinite radius was an OverflowError
+        with pytest.raises(BudgetExceededError, match="not finite"):
+            SmoothWeight(sigma).lattice_radius(scale)
+
     def test_fourier_zero(self):
         phi = SmoothWeight(sigma=2.0, amplitude=3.0)
         assert abs(phi.fourier((0.0, 0.0)) - 3.0 * 4.0) < 1e-12
@@ -614,6 +632,51 @@ class TestPoisson:
         monkeypatch.setattr(charsum, "weight_table", no_table)
         with pytest.raises(ValueError, match="squarefree"):
             poisson_check(3, MONIC, 12, 4, "mobius-half")
+
+    @pytest.mark.parametrize("n, mode, d", [
+        (3, MONIC, 2 ** 63 + 29),          # a prime: full trial division hung
+        (3, MONIC, 373),                   # the first prime above 368 = cap^(1/3)
+        (3, MONIC, 373 ** 2),              # non-squarefree, repeated prime above 368
+        (4, MONIC, 89 * 6),                # 84 = cap^(1/4)
+        (3, GENERAL, 89),
+    ])
+    def test_prime_above_table_cap_refused_before_tables(self, monkeypatch, n, mode, d):
+        # every p | d needs a p^dim table of at most _TABLE_SIZE_CAP entries
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="prime factor above"):
+            poisson_check(n, mode, d, 4.0, "mobius-half", budget=None)
+        assert time.perf_counter() - started < 1.0
+
+    def test_table_cap_primes_pass_the_modulus_check(self):
+        # 367 and 83 are the largest primes of a table under the cap at
+        # dim 3 and 4: the modulus check lets them through to the budget
+        assert 367 ** 3 <= charsum._TABLE_SIZE_CAP < 373 ** 3
+        assert 83 ** 4 <= charsum._TABLE_SIZE_CAP < 89 ** 4
+        for n, d in ((3, 367), (4, 83)):
+            with pytest.raises(BudgetExceededError, match="over budget"):
+                poisson_check(n, MONIC, d, 4.0, "mobius-half", budget=1)
+
+    def test_repeated_small_prime_is_value_error(self):
+        # a repeated prime below the bound is found before the large cofactor
+        with pytest.raises(ValueError, match="squarefree"):
+            poisson_check(3, MONIC, 4 * (2 ** 61 - 1), 4.0, "mobius-half")
+
+    @pytest.mark.parametrize("sigma", [1e12, 1e300, 1e308, 5e-324])
+    def test_long_profile_refused_before_tables(self, monkeypatch, sigma):
+        # 2R + 2d + 1 lattice entries (1e12: 211 TiB, once a MemoryError;
+        # 1e300: numpy's size error), an infinite radius (1e308) or an
+        # infinite dual window (5e-324), once OverflowErrors
+        def fail(*_a, **_k):
+            raise AssertionError("a table or profile was built")
+
+        monkeypatch.setattr(charsum, "weight_table", fail)
+        monkeypatch.setattr(SmoothWeight, "coord_profile", fail)
+        with pytest.raises(BudgetExceededError):
+            poisson_check(3, MONIC, 5, 4.0, "mobius-half", SmoothWeight(sigma))
 
     @pytest.mark.parametrize("H", [0, -2, 0.0, math.inf, -math.inf, math.nan])
     def test_bad_height_refused_before_tables(self, monkeypatch, H):

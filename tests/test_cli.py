@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polysieve import _ints, almostprime, cli, sieve, zpoly
+from polysieve import _ints, almostprime, charsum, cli, sieve, zpoly
 from polysieve._ints import omega_batch
 from polysieve.cli import DEFAULT_BUDGET, main
 
@@ -155,6 +155,22 @@ class TestSieveVerify:
                    "--mode", "general", "--budget", "1000",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("sigma, code, message", [
+        ("1e150", 3, "int64"),
+        ("1e160", 3, "int64"),             # sigma^2 overflows: once exit 2, "too small"
+        ("1e300", 3, "int64"),
+        ("1e308", 3, "not finite"),        # sigma * H overflows too
+        ("0.01", 2, "too small"),
+    ])
+    def test_sigma_extremes(self, tmp_path, capsys, sigma, code, message):
+        out = tmp_path / "x.json"
+        rc = main(["sieve-verify", "--n", "3", "--H", "3", "--D", "1", "--mode", "monic",
+                   "--sigma", sigma, "--out", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
 
 
 class TestCount:
@@ -360,6 +376,39 @@ class TestPoissonCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "n=0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d, code", [
+        (2 ** 63 + 29, 3),     # a prime: once still in trial division after 15 s
+        (373 ** 2, 3),         # repeated prime above 368: exit 2 before the bound
+        (12, 2),
+    ])
+    def test_modulus_checked_up_to_the_table_bound(self, tmp_path, capsys, d, code):
+        out = tmp_path / "p.csv"
+        argv = ["poisson-check", "--n", "3", "--d", str(d), "--H", "4", "--out", str(out)]
+        started = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:" if code == 3 else "usage error:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e12", "1e308", "5e-324", "1e300"])
+    def test_profile_refused_before_allocation(self, monkeypatch, tmp_path, capsys, sigma):
+        # once exit 4 with MemoryError (1e12) or OverflowError (1e308,
+        # 5e-324), and exit 2 with numpy's size error (1e300)
+        def fail(*_a, **_k):
+            raise AssertionError("a table or profile was built")
+
+        monkeypatch.setattr(charsum, "weight_table", fail)
+        monkeypatch.setattr(charsum.SmoothWeight, "coord_profile", fail)
+        out = tmp_path / "p.csv"
+        argv = ["poisson-check", "--n", "3", "--d", "5", "--H", "4", "--sigma", sigma,
+                "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal:") and err.count("\n") == 1
         assert not out.exists()
 
 
