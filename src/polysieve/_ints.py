@@ -124,9 +124,22 @@ def mobius(m: int) -> int:
 
 
 def is_squarefree(m: int) -> bool:
+    """Squarefreeness of |m| (0 is not squarefree).  Each prime p with
+    p^3 <= the cofactor left is divided out once; the cofactor then has at
+    most two prime factors, so it is non-squarefree exactly when it is a
+    perfect square > 1.  The rule `omega_batch` uses, at trial division to
+    cbrt(|m|) rather than `mobius`'s sqrt(|m|)."""
+    m = abs(m)
     if m == 0:
         return False
-    return mobius(abs(m)) != 0
+    p, gaps = 2, itertools.chain((1, 2, 2), itertools.cycle(_WHEEL))
+    while p * p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+        p += next(gaps)
+    return m == 1 or not is_perfect_square(m)
 
 
 def tau(m: int) -> int:

@@ -263,6 +263,9 @@ class SieveAdmissibility:
 
 
 def admissibility(n: int, r: int) -> SieveAdmissibility:
+    """Whether 1/Delta_r < n / (2(n-1)^2); the exponent needs n >= 2."""
+    if n < 2:
+        raise ValueError(f"admissibility needs n >= 2, got n={n}")
     expo = Fraction(n, 2 * (n - 1) ** 2)
     d = delta_r(r)
     return SieveAdmissibility(n, r, d, expo, 1 / d < expo)
@@ -270,11 +273,13 @@ def admissibility(n: int, r: int) -> SieveAdmissibility:
 
 def min_admissible_r(n: int) -> int:
     """Smallest r with 1/Delta_r < n / (2(n-1)^2); equals 2n - 3 throughout
-    the tested range n in [3, 12]."""
+    the tested range n in [3, 300].  Delta_r <= r, so an admissible r
+    exceeds 2(n-1)^2 / n, and Delta_r increases with r: the search starts
+    at floor(2(n-1)^2 / n), which is not admissible, and takes two steps."""
     if n < 3:
         raise ValueError("need n >= 3")
     threshold = n / (2 * (n - 1) ** 2)
-    r = 1
+    r = max(1, 2 * (n - 1) ** 2 // n)
     while 1 / delta_r(r) >= threshold:
         r += 1
     return r

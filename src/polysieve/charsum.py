@@ -53,8 +53,9 @@ closed form is Bareiss, 145.  The whole rule (`_table_disc`,
 `_disc_mod_p`, `_chi`, `_mobius`, `_is_squarefree`) lives here; the
 test suite checks it against an independent distinct-degree split.
 
-A `WeightTable` also wraps any caller-built array of the right shape; its
-rule name is then only a label.
+Tables and their transforms are read-only float64 and complex arrays of
+shape (p,)^dim, each cached under its key (p, n, mode, rule): every caller
+shares them, so a write into one raises.
 """
 
 from __future__ import annotations
@@ -94,39 +95,6 @@ def space_dim(n: int, mode: str) -> int:
 
 def _canon_rule(rule: str) -> str:
     return _RULE_ALIASES.get(rule, rule)
-
-
-class WeightTable:
-    """A complex-valued weight on V_n(F_p) (or its monic slice) with a
-    lazily cached full transform."""
-
-    def __init__(self, p: int, n: int, mode: str, rule: str, values: np.ndarray):
-        self.p = p
-        self.n = n
-        self.mode = _check_mode(mode)
-        self.rule = rule
-        expected = (p,) * self.dim
-        if values.shape != expected:
-            raise ValueError(f"values must have shape {expected}")
-        self.values = values
-        self._dft: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return space_dim(self.n, self.mode)
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.dim
-
-    def dft(self) -> np.ndarray:
-        if self._dft is None:
-            self._dft = np.fft.ifftn(self.values)
-            self._dft.flags.writeable = False
-        return self._dft
-
-    def zero_phase(self) -> complex:
-        return complex(self.values.mean())
 
 
 def _trim(r: list[int]) -> list[int]:
@@ -236,7 +204,9 @@ def _check_degree(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
+def weight_table(p: int, n: int, mode: str, rule: str) -> np.ndarray:
+    """The weight `rule` on V_n(F_p) in `mode`: a read-only, cached float64
+    array of shape (p,)^dim."""
     _check_degree(n)
     if not is_prime(p):
         raise ValueError(f"weight tables need a prime modulus, got p={p}")
@@ -267,7 +237,7 @@ def weight_table(p: int, n: int, mode: str, rule: str) -> WeightTable:
         raise ValueError(f"unknown weight rule {rule!r}")
     # every caller shares the cached table: one write would change them all
     vals.flags.writeable = False
-    return WeightTable(p, n, mode, rule, vals)
+    return vals
 
 
 def decay_alpha(rule: str, n: int) -> float:
@@ -284,6 +254,15 @@ def decay_alpha(rule: str, n: int) -> float:
 # transforms
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _table_dft(p: int, n: int, mode: str, rule: str) -> np.ndarray:
+    """The full transform of `weight_table(p, n, mode, rule)`, read-only and
+    cached under the same key."""
+    ft = np.fft.ifftn(weight_table(p, n, mode, rule))
+    ft.flags.writeable = False
+    return ft
+
+
 def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.ndarray]]:
     """[(p, T_p)] over the primes p | d, where T_p is the cached transform
     of the p-table with every axis permuted by s -> c_p s mod p,
@@ -291,7 +270,7 @@ def _twisted_dfts(d: int, n: int, mode: str, rule: str) -> list[tuple[int, np.nd
     psi_hat_d(u) = prod_p T_p[u mod p]."""
     out = []
     for p in prime_factors(d):
-        ft = weight_table(p, n, mode, rule).dft()
+        ft = _table_dft(p, n, mode, rule)
         perm = (pow(d // p, -1, p) * np.arange(p)) % p
         out.append((p, ft[np.ix_(*([perm] * ft.ndim))]))
     return out
@@ -305,9 +284,8 @@ def product_weight_values(d: int, n: int, mode: str, rule: str) -> np.ndarray:
     base = np.arange(d)
     vals = np.ones((d,) * dim)
     for p in prime_factors(d):
-        tbl = weight_table(p, n, mode, rule)
         idx = base % p
-        vals = vals * tbl.values[np.ix_(*([idx] * dim))]
+        vals = vals * weight_table(p, n, mode, rule)[np.ix_(*([idx] * dim))]
     return vals
 
 
@@ -338,17 +316,17 @@ class PhaseScan:
     argmax: tuple[int, ...]
 
 
-def max_nonzero_phase(w: WeightTable) -> PhaseScan:
-    """Largest |psi_hat(u)| over u != 0, scanned exhaustively over the
-    cached transform; ties go to the first maximal phase in C order (the
-    lexicographically smallest)."""
+def max_nonzero_phase(w: np.ndarray) -> PhaseScan:
+    """Largest |psi_hat(u)| over u != 0 for a weight table w, scanned
+    exhaustively over its full transform; ties go to the first maximal
+    phase in C order (the lexicographically smallest)."""
     # FFT rounding (far below 1e-12 * max|w|) can split an exact tie
-    tol = 1e-12 * float(np.abs(w.values).max())
-    mags = np.abs(w.dft()).ravel()
+    tol = 1e-12 * float(np.abs(w).max())
+    mags = np.abs(np.fft.ifftn(w)).ravel()
     mags[0] = -1.0
     top = float(mags.max())
     idx = int(np.argmax(mags >= top - tol))
-    arg = tuple(int(x) for x in np.unravel_index(idx, w.values.shape))
+    arg = tuple(int(x) for x in np.unravel_index(idx, w.shape))
     return PhaseScan(top, arg)
 
 
@@ -497,17 +475,26 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
                        phi: SmoothWeight, H: float) -> float:
     """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
     Gaussian folded into wrapped per-residue weights, so no truncation
-    enters beyond machine precision.  A profile of 2R + 2d + 1 entries
-    over _TABLE_SIZE_CAP is refused before any table is built."""
+    enters beyond machine precision.  d must be a squarefree positive
+    integer and H a finite positive number (ValueError), and a profile of
+    2R + 2d + 1 entries over _TABLE_SIZE_CAP is refused, all before any
+    table is built."""
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError(f"H must be a finite positive number, got {H!r}")
+    if d < 1:
+        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
     R = phi.lattice_radius(H, 1e-18)
     if 2 * R + 2 * d + 1 > _TABLE_SIZE_CAP:
         raise BudgetExceededError(
             f"lattice profile at radius {R:.4g}, d={d}: 2R + 2d + 1 entries, "
             f"over {_TABLE_SIZE_CAP}")
+    primes = prime_factors(d)
+    if math.prod(primes) != d:
+        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
     span = np.arange(-R - d, R + d + 1)
     theta = np.zeros(d)
     np.add.at(theta, span % d, phi.coord_profile(span / H))
-    tables = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
+    tables = [(p, weight_table(p, n, mode, rule)) for p in primes]
     return phi.amplitude * float(_wrapped_contraction(d, space_dim(n, mode), theta, tables))
 
 
@@ -539,8 +526,10 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     entries, so d is trial-divided only by the primes up to that bound
     (368 at dim 3, 84 at dim 4): a repeated prime there is a ValueError,
     and a cofactor left above it is refused with BudgetExceededError.  So
-    is a wrapped profile, 2R + 2d + 1 entries on the lattice side and
-    2U + 1 on the dual side, over _TABLE_SIZE_CAP or of infinite length."""
+    is a d with d^dim over _TABLE_SIZE_CAP^2, since every CRT split of it
+    has a side table over the cap, and a wrapped profile, 2R + 2d + 1
+    entries on the lattice side and 2U + 1 on the dual side, over
+    _TABLE_SIZE_CAP or of infinite length."""
     if not (math.isfinite(H) and H > 0):
         raise ValueError(f"H must be a finite positive number, got {H!r}")
     _check_degree(n)  # dim 0 would bound no prime
@@ -555,6 +544,12 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
         raise BudgetExceededError(
             f"modulus d={d} has a prime factor above {cap}, whose {dim}-coordinate "
             f"weight table would exceed {_TABLE_SIZE_CAP} entries")
+    if d ** dim > _TABLE_SIZE_CAP ** 2:
+        # every split d = A*B has max(A, B) >= sqrt(d): refused before
+        # `_crt_split` lists all 2^omega(d) of them
+        raise BudgetExceededError(
+            f"modulus d={d}: every CRT split has a side of at least sqrt(d), whose "
+            f"{dim}-coordinate table would exceed {_TABLE_SIZE_CAP} entries")
     cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in prime_factors(d))
     if budget is not None and cost > budget:
         raise BudgetExceededError(

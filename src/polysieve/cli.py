@@ -158,7 +158,7 @@ def cmd_fourier_scan(resolved: dict) -> int:
     all_ok = True
     for p, n, mode in cells:
         w = charsum.weight_table(p, n, mode, rule)
-        zero = w.zero_phase().real
+        zero = float(w.mean())
         scan = charsum.max_nonzero_phase(w)
         alpha = charsum.decay_alpha(rule, n)
         if rule == charsum.RULE_MOBIUS_HALF:

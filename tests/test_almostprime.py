@@ -7,6 +7,7 @@ for the batch factoring, and the closed-form main terms.
 """
 
 import math
+import time
 import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from polysieve import _ints, almostprime
-from polysieve._ints import INT64_MR_LIMIT, is_squarefree, omega, omega_batch
+from polysieve._ints import (INT64_MR_LIMIT, is_prime, is_squarefree, mobius, omega,
+                             omega_batch)
 from polysieve.charsum import SmoothWeight
 from polysieve.errors import BudgetExceededError
 from polysieve import zpoly
@@ -437,6 +439,28 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             min_admissible_r(2)
 
+    def test_matches_stepwise_search(self):
+        # the search starts at floor(2(n-1)^2 / n): the same r as stepping
+        # up from r = 1
+        for n in range(3, 301):
+            threshold = n / (2 * (n - 1) ** 2)
+            r = 1
+            while 1 / delta_r(r) >= threshold:
+                r += 1
+            assert min_admissible_r(n) == r == 2 * n - 3, n
+
+    def test_large_degree_is_fast(self):
+        # stepping up from r = 1 took 1.85 s at n = 10^6
+        started = time.perf_counter()
+        assert min_admissible_r(10 ** 9) == 2 * 10 ** 9 - 3
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_degree_below_two_refused(self, n):
+        # n / (2(n-1)^2) once divided by zero at n = 1
+        with pytest.raises(ValueError, match="n >= 2"):
+            admissibility(n, 1)
+
 
 class TestCountAlmostPrime:
     def test_vacuous_budget(self):
@@ -469,7 +493,7 @@ class TestCountAlmostPrime:
         direct = 0
         for f in enumerate_box(3, 3, monic=True):
             d = discriminant(f)
-            if d != 0 and omega(d) <= 3 and is_squarefree(d):
+            if d != 0 and omega(d) <= 3 and mobius(abs(d)) != 0:
                 direct += 1
         assert got == direct
         assert got <= int(table[:4].sum())
@@ -582,7 +606,7 @@ def stable_argsort_histogram(n, H, R):
 def cubic_omegas(H):
     """(omega, squarefree) of every nonzero Disc in the monic cubic box of
     height H, by Bareiss and scalar trial division."""
-    return [(omega(d), is_squarefree(d))
+    return [(omega(d), mobius(abs(d)) != 0)
             for d in map(discriminant, enumerate_box(3, H, monic=True))
             if d != 0]
 
@@ -613,7 +637,7 @@ def assert_matches_scalar(values):
     assert om.shape == flags.shape == vals.shape
     flat = [int(v) for v in vals.ravel()]
     assert om.ravel().tolist() == [omega(v) for v in flat]
-    assert flags.ravel().tolist() == [is_squarefree(v) for v in flat]
+    assert flags.ravel().tolist() == [mobius(abs(v)) != 0 for v in flat]
 
 
 # Strong pseudoprimes to base 2 (25326001 also to 3 and 5) whose factors
@@ -771,13 +795,32 @@ class TestOmegaBatch:
         assert np.array_equal(flags[perm], flags_s)
         sample = vals[::7].tolist()
         assert om[::7].tolist() == [omega(v) for v in sample]
-        assert flags[::7].tolist() == [is_squarefree(v) for v in sample]
+        assert flags[::7].tolist() == [mobius(v) != 0 for v in sample]
 
     def test_squarefree_flags(self):
         vals = np.arange(1, 500, dtype=np.int64)
         _, flags = omega_batch(vals)
         for v, f in zip(vals.tolist(), flags.tolist()):
-            assert f == is_squarefree(v)
+            assert f == (mobius(v) != 0)
+
+
+class TestIsSquarefree:
+    def test_matches_mobius(self):
+        # `mobius` trial-divides to sqrt(m), independent of the cube-root rule
+        assert all(is_squarefree(m) == (mobius(m) != 0) for m in range(1, 10 ** 5 + 1))
+        assert not is_squarefree(0)
+        primes = [p for p in range(10 ** 4, 10 ** 4 + 200) if is_prime(p)][:3]
+        assert len(primes) == 3
+        p, q, s = primes
+        for m in (p * p, p * p * q, p * q, p * q * s, q * q * s):
+            assert is_squarefree(m) == is_squarefree(-m) == (mobius(m) != 0), m
+
+    def test_large_prime_is_fast(self):
+        # sqrt trial division of 2^61 - 1 would take about a minute
+        started = time.perf_counter()
+        assert is_squarefree(2 ** 61 - 1)
+        assert not is_squarefree((2 ** 31 - 1) ** 2)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestFieldExponent:

@@ -30,8 +30,8 @@ from polysieve.charsum import (
     GENERAL,
     MONIC,
     SmoothWeight,
-    WeightTable,
     _crt_split,
+    _table_dft,
     _twisted_dfts,
     _wrapped_contraction,
     contraction_cost,
@@ -48,21 +48,21 @@ from polysieve.errors import BudgetExceededError
 from polysieve.zpoly import _disc_sylvester
 
 
-def parseval_gap(w):
-    ft = w.dft()
-    lhs = float((np.abs(ft) ** 2).sum())
-    rhs = float((np.abs(w.values) ** 2).sum()) / w.size
+def parseval_gap(p, n, mode, rule):
+    w = weight_table(p, n, mode, rule)
+    lhs = float((np.abs(_table_dft(p, n, mode, rule)) ** 2).sum())
+    rhs = float((np.abs(w) ** 2).sum()) / w.size
     return abs(lhs - rhs)
 
 
 class TestWeightTables:
     def test_mobius_half_value_set(self):
         w = weight_table(3, 3, GENERAL, "mobius-half")
-        assert set(np.unique(w.values)) <= {0.0, 0.5, 1.0}
+        assert set(np.unique(w)) <= {0.0, 0.5, 1.0}
 
     def test_degree_drop_gives_half(self):
         w = weight_table(5, 3, GENERAL, "mobius-half")
-        assert np.all(w.values[..., 0] == 0.5)
+        assert np.all(w[..., 0] == 0.5)
 
     def test_general_matches_pointwise_definition(self):
         p, n = 3, 3
@@ -70,7 +70,7 @@ class TestWeightTables:
         for f in enumerate_fp(p, n):
             vec = f.coeffs + (0,) * (n + 1 - len(f.coeffs))
             expected = (1 + (-1) ** (n + 1) * mobius_pn(f, n)) / 2
-            assert w.values[vec] == expected
+            assert w[vec] == expected
 
     def test_value_one_iff_odd(self):
         # at odd n the weight is 1 exactly on odd degree-n polynomials
@@ -78,16 +78,16 @@ class TestWeightTables:
         w = weight_table(p, n, MONIC, "mobius-half")
         for f in enumerate_fp(p, n, monic=True):
             vec = f.coeffs[:n]
-            assert (w.values[vec] == 1.0) == is_odd_poly(f)
+            assert (w[vec] == 1.0) == is_odd_poly(f)
 
     def test_squarefree_complement_ones_count(self):
         w = weight_table(3, 3, MONIC, "squarefree-complement")
-        assert int(w.values.sum()) == 9  # p^(n-1)
+        assert int(w.sum()) == 9  # p^(n-1)
 
     def test_squarefree_complement_pointwise(self):
         w = weight_table(3, 3, MONIC, "squarefree-complement")
         for f in enumerate_fp(3, 3, monic=True):
-            assert w.values[f.coeffs[:3]] == (0.0 if is_squarefree_fp(f) else 1.0)
+            assert w[f.coeffs[:3]] == (0.0 if is_squarefree_fp(f) else 1.0)
 
     def test_squarefree_general_rejected(self):
         with pytest.raises(ValueError):
@@ -100,20 +100,25 @@ class TestWeightTables:
         weight_table.cache_clear()
 
     def test_cached_tables_are_read_only(self):
-        # weight_table is cached and shared: a write into its values or its
-        # transform raises instead of changing every later table and sum
+        # weight_table and _table_dft are cached and shared: a write into a
+        # table or its transform raises instead of changing every later
+        # table and sum
         oracles = {MONIC: ddf_monic_table(3, 3, "mobius-half"),
                    GENERAL: ddf_general_table(3, 3)}
         for mode, oracle in oracles.items():
-            w = weight_table(3, 3, mode, "mobius-half")
-            for arr in (w.values, w.dft()):
+            key = (3, 3, mode, "mobius-half")
+            for arr in (weight_table(*key), _table_dft(*key)):
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 7
-            assert np.array_equal(weight_table(3, 3, mode, "mobius-half").values, oracle)
-        # an array a caller wraps stays the caller's
+            assert np.array_equal(weight_table(*key), oracle)
+            assert np.array_equal(_table_dft(*key), np.fft.ifftn(weight_table(*key)))
+        # a caller's array stays the caller's: scanning it leaves it
+        # writable and unchanged
         own = np.zeros((3,) * 3)
-        WeightTable(3, 3, MONIC, "custom", own)
-        own[0, 0, 0] = 1.0
+        own[1, 2, 0] = 1.0
+        before = own.copy()
+        max_nonzero_phase(own)
+        assert own.flags.writeable and np.array_equal(own, before)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_below_one_refused_before_build(self, monkeypatch, n):
@@ -136,8 +141,8 @@ class TestWeightTables:
 
     def test_product_rule_reproduces_pointwise(self):
         vals = product_weight_values(6, 3, MONIC, "mobius-half")
-        t2 = weight_table(2, 3, MONIC, "mobius-half").values
-        t3 = weight_table(3, 3, MONIC, "mobius-half").values
+        t2 = weight_table(2, 3, MONIC, "mobius-half")
+        t3 = weight_table(3, 3, MONIC, "mobius-half")
         for idx in np.ndindex(*vals.shape):
             i2 = tuple(c % 2 for c in idx)
             i3 = tuple(c % 3 for c in idx)
@@ -196,7 +201,7 @@ def ddf_general_table(p, n):
 def built_table(p, n, mode, rule):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # mobius-half warns below n = 3
-        return weight_table(p, n, mode, rule).values
+        return weight_table(p, n, mode, rule)
 
 
 class TestStickelbergerClassifier:
@@ -254,8 +259,7 @@ class TestStickelbergerClassifier:
 
 class TestDft:
     def test_constant_weight_orthogonality(self):
-        w = WeightTable(5, 3, MONIC, "custom", np.ones((5, 5, 5)))
-        ft = w.dft()
+        ft = np.fft.ifftn(np.ones((5, 5, 5)))
         assert abs(ft[0, 0, 0] - 1.0) < 1e-12
         rest = np.abs(ft).copy()
         rest[0, 0, 0] = 0.0
@@ -264,28 +268,28 @@ class TestDft:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (3, 4)])
     def test_mobius_half_zero_phase(self, p, n):
         for mode in (GENERAL, MONIC):
-            w = weight_table(p, n, mode, "mobius-half")
-            assert abs(w.dft()[(0,) * w.dim] - 0.5) < 1e-12
+            ft = _table_dft(p, n, mode, "mobius-half")
+            assert abs(ft[(0,) * ft.ndim] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_squarefree_zero_phase(self, p):
-        w = weight_table(p, 3, MONIC, "squarefree-complement")
-        assert abs(w.dft()[(0,) * 3] - 1 / p) < 1e-12
+        ft = _table_dft(p, 3, MONIC, "squarefree-complement")
+        assert abs(ft[(0,) * 3] - 1 / p) < 1e-12
 
     def test_parseval(self):
-        for w in (weight_table(5, 3, GENERAL, "mobius-half"),
-                  weight_table(3, 4, MONIC, "mobius-half"),
-                  weight_table(7, 3, MONIC, "squarefree-complement")):
-            assert parseval_gap(w) < 1e-10
+        for key in ((5, 3, GENERAL, "mobius-half"),
+                    (3, 4, MONIC, "mobius-half"),
+                    (7, 3, MONIC, "squarefree-complement")):
+            assert parseval_gap(*key) < 1e-10
 
     def test_fft_matches_direct_at_prime(self):
         p, n = 5, 3
-        w = weight_table(p, n, MONIC, "mobius-half")
+        ft = _table_dft(p, n, MONIC, "mobius-half")
         rng = np.random.default_rng(1)
         for _ in range(10):
             u = tuple(rng.integers(0, p, size=3).tolist())
             direct = dft_point_direct(p, n, MONIC, "mobius-half", u)
-            assert abs(w.dft()[u] - direct) < 1e-12
+            assert abs(ft[u] - direct) < 1e-12
 
 
 def crt_product(d, n, mode, rule):
@@ -311,8 +315,8 @@ def assert_crt_matches(d, n, mode, phases, tol):
 
 class TestCrtProduct:
     def test_prime_reduces_to_table(self):
-        w = weight_table(5, 3, MONIC, "mobius-half")
-        assert np.abs(crt_product(5, 3, MONIC, "mobius-half") - w.dft()).max() < 1e-14
+        ft = _table_dft(5, 3, MONIC, "mobius-half")
+        assert np.abs(crt_product(5, 3, MONIC, "mobius-half") - ft).max() < 1e-14
 
     @pytest.mark.parametrize("d", [6, 10, 15])
     def test_matches_direct_summation(self, d):
@@ -339,8 +343,8 @@ class TestAffineRelation:
     @pytest.mark.parametrize("p", [3, 5])
     def test_general_from_monic_at_zero_leading_dual(self, p):
         n = 3
-        wg = weight_table(p, n, GENERAL, "mobius-half").dft()
-        wm = weight_table(p, n, MONIC, "mobius-half").dft()
+        wg = _table_dft(p, n, GENERAL, "mobius-half")
+        wm = _table_dft(p, n, MONIC, "mobius-half")
         for u in np.ndindex(*(p,) * n):
             if all(c == 0 for c in u):
                 continue
@@ -351,8 +355,7 @@ class TestAffineRelation:
 
 class TestMaxNonzeroPhase:
     def test_constant_weight(self):
-        w = WeightTable(3, 3, MONIC, "custom", np.ones((3, 3, 3)))
-        scan = max_nonzero_phase(w)
+        scan = max_nonzero_phase(np.ones((3, 3, 3)))
         assert scan.max_abs < 1e-12
         assert scan.argmax == (0, 0, 1)
 
@@ -369,7 +372,7 @@ class TestMaxNonzeroPhase:
                                  (7, 3, MONIC, "squarefree-complement")):
             w = weight_table(p, n, mode, rule)
             mags = {u: abs(dft_point_direct(p, n, mode, rule, u))
-                    for u in np.ndindex(*w.values.shape) if any(u)}
+                    for u in np.ndindex(*w.shape) if any(u)}
             top = max(mags.values())
             first = next(u for u, m in mags.items() if m >= top - 1e-12)
             scan = max_nonzero_phase(w)
@@ -381,7 +384,7 @@ class TestMaxNonzeroPhase:
         w = weight_table(7, 3, MONIC, "squarefree-complement")
         a = max_nonzero_phase(w)
         assert a == max_nonzero_phase(w)
-        ft = w.dft()
+        ft = _table_dft(7, 3, MONIC, "squarefree-complement")
         rng = np.random.default_rng(5)
         for _ in range(50):
             u = tuple(int(x) for x in rng.integers(0, 7, size=3))
@@ -393,7 +396,7 @@ class TestMaxNonzeroPhase:
         # and sampled table entries agree with direct summation
         w = weight_table(5, 3, MONIC, "mobius-half")
         scan = max_nonzero_phase(w)
-        ft = w.dft()
+        ft = _table_dft(5, 3, MONIC, "mobius-half")
         assert abs(scan.max_abs - abs(ft[scan.argmax])) < 1e-12
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -469,6 +472,18 @@ class TestSmoothWeight:
             lhs = lattice_weight_sum(d, n, MONIC, rule, phi, H)
             assert abs(lhs - direct) <= 1e-12 * abs(direct), (rule, lhs, direct)
 
+    @pytest.mark.parametrize("d, H", [(4, 2.0), (12, 2.0), (2, 0), (2, -2), (0, 2.0)])
+    def test_lattice_sum_outside_domain_refused(self, monkeypatch, d, H):
+        # these once returned 0.0728, 0.0047, nan, 0.0 and an IndexError: at
+        # d = 4 the CRT split covers only 2, and Theta lost half of theta
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        match = "H must be" if H <= 0 else "squarefree positive integer"
+        with pytest.raises(ValueError, match=match):
+            lattice_weight_sum(d, 3, MONIC, "mobius-half", SmoothWeight(), H)
+
 
 def dual_sum_oracle(n, mode, d, H, rule, phi):
     """H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), one phase at a time over
@@ -523,7 +538,7 @@ class TestWrappedContraction:
         n = 2 if mode == GENERAL and d ** 4 > 10 ** 5 else 3
         dim = space_dim(n, mode)
         theta = np.random.default_rng(d).uniform(0.1, 1.0, size=d)
-        real = [(p, weight_table(p, n, mode, rule).values) for p in prime_factors(d)]
+        real = [(p, weight_table(p, n, mode, rule)) for p in prime_factors(d)]
         assert_contraction_matches(d, dim, theta, real)
         assert_contraction_matches(d, dim, theta, _twisted_dfts(d, n, mode, rule))
 
@@ -601,6 +616,21 @@ class TestPoisson:
             poisson_check(3, GENERAL, d, 8.0, "mobius-half", budget=10 ** 9)
         assert time.perf_counter() - started < 1.0
         assert weight_table.cache_info().misses == 0
+
+    def test_many_primes_refused_before_splits(self, monkeypatch):
+        # the first 18 primes: _crt_split once listed all 2^18 splits (1.6 s)
+        # only to be refused, though every split has a side >= sqrt(d)
+        def fail(*_a, **_k):
+            raise AssertionError("a split or table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", fail)
+        monkeypatch.setattr(charsum, "_crt_split", fail)
+        d = math.prod(p for p in range(2, 62) if prime_factors(p) == (p,))
+        assert len(prime_factors(d)) == 18
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="every CRT split"):
+            poisson_check(3, MONIC, d, 4.0, "mobius-half", budget=10 ** 9)
+        assert time.perf_counter() - started < 0.1
 
     def test_trivial_modulus(self):
         rep = poisson_check(3, MONIC, 1, 4.0, "mobius-half")

@@ -304,6 +304,14 @@ class TestAdmissibility:
         admissible = {int(r[1]): int(r[4]) for r in rows}
         assert admissible == {1: 0, 2: 0, 3: 1, 4: 1}
 
+    def test_degree_one_exits_two(self, tmp_path, capsys):
+        # n = 1 once divided by zero in n / (2(n-1)^2): exit 4
+        out = tmp_path / "adm.csv"
+        assert main(["admissibility", "--n", "3,1", "--r", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "n >= 2" in err
+        assert not out.exists()
+
 
 class TestExponents:
     def test_rows(self, tmp_path):
