@@ -272,17 +272,16 @@ def admissibility(n: int, r: int) -> SieveAdmissibility:
 
 
 def min_admissible_r(n: int) -> int:
-    """Smallest r with 1/Delta_r < n / (2(n-1)^2); equals 2n - 3 throughout
-    the tested range n in [3, 300].  Delta_r <= r, so an admissible r
-    exceeds 2(n-1)^2 / n, and Delta_r increases with r: the search starts
-    at floor(2(n-1)^2 / n), which is not admissible, and takes two steps."""
+    """Smallest r with 1/Delta_r < n / (2(n-1)^2), which is 2n - 3 for every
+    n >= 3, in closed form.  Delta_r = r - c_r with
+    c_r = log_3(4/3) - log_3(1 + 3^-r), so 0 <= c_r < log_3(4/3) < 0.262 and
+    Delta_r increases with r.  The condition reads Delta_r > 2(n-1)^2 / n
+    = 2n - 4 + 2/n: r <= 2n - 4 never meets it (Delta_r <= r), and
+    r = 2n - 3 meets it exactly when c_r < 1 - 2/n, which holds for n >= 3
+    since 1 - 2/n >= 1/3."""
     if n < 3:
         raise ValueError("need n >= 3")
-    threshold = n / (2 * (n - 1) ** 2)
-    r = max(1, 2 * (n - 1) ** 2 // n)
-    while 1 / delta_r(r) >= threshold:
-        r += 1
-    return r
+    return 2 * n - 3
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ test suite checks it against an independent distinct-degree split.
 Tables and their transforms are read-only float64 and complex arrays of
 shape (p,)^dim, each cached under its key (p, n, mode, rule): every caller
 shares them, so a write into one raises.
+
+Every entry point decides its job with two checks before it prices or
+builds any table: `_weight_job` admits (n, mode, rule) and gives the
+dimension and the canonical rule, and `_modulus_primes` admits a modulus d
+for that dimension and gives its primes.
 """
 
 from __future__ import annotations
@@ -82,19 +87,29 @@ DEFAULT_OPS_BUDGET = 1_000_000_000
 _TABLE_SIZE_CAP = 50_000_000
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in (GENERAL, MONIC):
-        raise ValueError(f"mode must be '{GENERAL}' or '{MONIC}', got {mode!r}")
-    return mode
-
-
 def space_dim(n: int, mode: str) -> int:
     """Coordinates of V_n: n+1 in general mode, n on the monic slice."""
-    return n + 1 if _check_mode(mode) == GENERAL else n
+    if mode not in (GENERAL, MONIC):
+        raise ValueError(f"mode must be '{GENERAL}' or '{MONIC}', got {mode!r}")
+    return n + 1 if mode == GENERAL else n
 
 
-def _canon_rule(rule: str) -> str:
-    return _RULE_ALIASES.get(rule, rule)
+def _weight_job(n: int, mode: str, rule: str) -> tuple[int, str]:
+    """(dim, canonical rule) of a weight-table job on V_n in `mode`: a
+    ValueError unless n >= 1, the mode is known, and the rule is known and
+    defined there (squarefree-complement needs monic mode and n >= 2)."""
+    if n < 1:
+        raise ValueError(f"weight tables need degree n >= 1, got n={n}")
+    dim = space_dim(n, mode)
+    rule = _RULE_ALIASES.get(rule, rule)
+    if rule == RULE_SQUAREFREE:
+        if mode != MONIC:
+            raise ValueError("the squarefree-complement rule is monic-only")
+        if n < 2:
+            raise ValueError("squarefree-complement weight needs n >= 2")
+    elif rule != RULE_MOBIUS_HALF:
+        raise ValueError(f"unknown weight rule {rule!r}")
+    return dim, rule
 
 
 def _trim(r: list[int]) -> list[int]:
@@ -198,43 +213,25 @@ def _monic_table(p: int, n: int, rule: str) -> np.ndarray:
     return vals
 
 
-def _check_degree(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"weight tables need degree n >= 1, got n={n}")
-
-
 @lru_cache(maxsize=None)
 def weight_table(p: int, n: int, mode: str, rule: str) -> np.ndarray:
     """The weight `rule` on V_n(F_p) in `mode`: a read-only, cached float64
     array of shape (p,)^dim."""
-    _check_degree(n)
+    dim, rule = _weight_job(n, mode, rule)
     if not is_prime(p):
         raise ValueError(f"weight tables need a prime modulus, got p={p}")
-    size = p ** space_dim(n, mode)
+    size = p ** dim
     if size > _TABLE_SIZE_CAP:
         raise BudgetExceededError(
             f"{mode} weight table for p={p}, n={n} has {size} entries, over {_TABLE_SIZE_CAP}")
-    rule = _canon_rule(rule)
-    if rule == RULE_MOBIUS_HALF:
-        if n < 3:
-            warnings.warn(f"mobius-half weight is intended for n >= 3 (got n={n})",
-                          stacklevel=2)
-        vals = _monic_table(p, n, rule)
-        if mode == GENERAL:
-            mon, vals = vals, np.full((p,) * (n + 1), 0.5)
-            base = np.arange(p)
-            for c in range(1, p):
-                inv = pow(c, -1, p)
-                s = (inv * base) % p
-                vals[..., c] = mon[np.ix_(*([s] * n))]
-    elif rule == RULE_SQUAREFREE:
-        if mode != MONIC:
-            raise ValueError("the squarefree-complement rule is monic-only")
-        if n < 2:
-            raise ValueError("squarefree-complement weight needs n >= 2")
-        vals = _monic_table(p, n, rule)
-    else:
-        raise ValueError(f"unknown weight rule {rule!r}")
+    if rule == RULE_MOBIUS_HALF and n < 3:
+        warnings.warn(f"mobius-half weight is intended for n >= 3 (got n={n})", stacklevel=2)
+    vals = _monic_table(p, n, rule)
+    if rule == RULE_MOBIUS_HALF and mode == GENERAL:
+        mon, vals = vals, np.full((p,) * (n + 1), 0.5)
+        base = np.arange(p)
+        for c in range(1, p):
+            vals[..., c] = mon[np.ix_(*([pow(c, -1, p) * base % p] * n))]
     # every caller shares the cached table: one write would change them all
     vals.flags.writeable = False
     return vals
@@ -242,7 +239,7 @@ def weight_table(p: int, n: int, mode: str, rule: str) -> np.ndarray:
 
 def decay_alpha(rule: str, n: int) -> float:
     """Reference decay exponent for nonzero-phase transform values."""
-    rule = _canon_rule(rule)
+    rule = _RULE_ALIASES.get(rule, rule)
     if rule == RULE_MOBIUS_HALF:
         return (n - 1) / 4
     if rule == RULE_SQUAREFREE:
@@ -407,6 +404,52 @@ def _crt_split(d: int, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return min(splits, key=lambda s: _split_cost(math.prod(s[0]), math.prod(s[1]), dim))
 
 
+def _split_sides(d: int, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_crt_split(d, dim)`, refused when its larger side's dense table, the
+    largest intermediate of `_wrapped_contraction`, is over the cap."""
+    a_side, b_side = _crt_split(d, dim)
+    side = max(math.prod(a_side), math.prod(b_side))
+    if side ** dim > _TABLE_SIZE_CAP:
+        raise BudgetExceededError(
+            f"contraction at d={d} needs a {side}^{dim} table, over {_TABLE_SIZE_CAP} entries")
+    return a_side, b_side
+
+
+def _modulus_primes(d: int, dim: int) -> tuple[int, ...]:
+    """The primes of a squarefree positive d (else ValueError) whose tables
+    a job on `dim` coordinates can build, or a BudgetExceededError before
+    any is built.  Each needs a p^dim table of at most _TABLE_SIZE_CAP
+    entries, so d is trial-divided only up to that bound (368 at dim 3, 84
+    at dim 4) and never past 5,000: a finished job has a lattice profile of
+    2R + 2d + 1 <= _TABLE_SIZE_CAP entries, so d < 5,000^2.  A repeated
+    prime found is a ValueError; a cofactor over the bound or 5,000^2, a
+    d^dim over _TABLE_SIZE_CAP^2 (every CRT split then has a side of at
+    least sqrt(d): refused before the splits are listed) and an oversized
+    `_split_sides` are refused."""
+    if d < 1:
+        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
+    cap = round(_TABLE_SIZE_CAP ** (1 / dim))
+    cap -= cap ** dim > _TABLE_SIZE_CAP  # the largest p with p^dim <= the cap
+    bound = min(cap, math.isqrt(_TABLE_SIZE_CAP // 2))
+    pairs, rest = _trial_division(d, bound)
+    if any(e > 1 for _p, e in pairs):
+        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
+    if bound < cap and rest > bound ** 2:
+        raise BudgetExceededError(
+            f"modulus d={d} is over {bound ** 2}: its lattice profile of 2R + 2d + 1 "
+            f"entries would exceed {_TABLE_SIZE_CAP}")
+    if rest > cap:
+        raise BudgetExceededError(
+            f"modulus d={d} has a prime factor above {cap}, whose {dim}-coordinate "
+            f"weight table would exceed {_TABLE_SIZE_CAP} entries")
+    if d ** dim > _TABLE_SIZE_CAP ** 2:
+        raise BudgetExceededError(
+            f"modulus d={d}: every CRT split has a side of at least sqrt(d), whose "
+            f"{dim}-coordinate table would exceed {_TABLE_SIZE_CAP} entries")
+    _split_sides(d, dim)
+    return tuple(p for p, _e in pairs) + ((rest,) if rest > 1 else ())
+
+
 def contraction_cost(d: int, dim: int) -> int:
     """Modelled multiply-adds of `_wrapped_contraction` at modulus d: the
     cost of the split it picks."""
@@ -445,19 +488,15 @@ def _wrapped_contraction(d: int, dim: int, theta: np.ndarray,
     a wrapped per-residue profile theta (length d) and one (p,)*dim table per
     prime p | d; the result takes its dtype from the inputs.
 
-    The sum is split by CRT along d = A*B (`_crt_split`): with
+    The sum is split by CRT along d = A*B (`_split_sides`): with
     Theta[r mod A, r mod B] = theta[r] it reads
     sum_{a, b} prod_i Theta[a_i, b_i] * T_A[a] * T_B[b], so the dense
     (B,)^dim table is contracted against Theta one axis at a time (b_i -> a_i)
     and the result dotted with the dense (A,)^dim table, at
     `contraction_cost(d, dim)` multiply-adds instead of d^dim."""
     dtype = np.result_type(theta, *(vals for _, vals in tables))
-    a_side, b_side = _crt_split(d, dim)
+    a_side, b_side = _split_sides(d, dim)
     A, B = math.prod(a_side), math.prod(b_side)
-    # every intermediate has A^i * B^(dim-i) entries, at most max(A, B)^dim
-    if max(A, B) ** dim > _TABLE_SIZE_CAP:
-        raise BudgetExceededError(
-            f"contraction at d={d} needs a {max(A, B)}^{dim} table, over {_TABLE_SIZE_CAP} entries")
     by_prime = dict(tables)
     r = np.arange(d)
     Theta = np.empty((A, B), dtype=theta.dtype)
@@ -475,27 +514,24 @@ def lattice_weight_sum(d: int, n: int, mode: str, rule: str,
                        phi: SmoothWeight, H: float) -> float:
     """Exact full-lattice sum  sum_{f in Z^dim} phi(f/H) psi_d(f)  with the
     Gaussian folded into wrapped per-residue weights, so no truncation
-    enters beyond machine precision.  d must be a squarefree positive
-    integer and H a finite positive number (ValueError), and a profile of
-    2R + 2d + 1 entries over _TABLE_SIZE_CAP is refused, all before any
+    enters beyond machine precision.  The job (`_weight_job`), a finite
+    positive H (ValueError), the modulus (`_modulus_primes`) and a profile
+    of 2R + 2d + 1 entries over _TABLE_SIZE_CAP are all refused before any
     table is built."""
+    dim = _weight_job(n, mode, rule)[0]
     if not (math.isfinite(H) and H > 0):
         raise ValueError(f"H must be a finite positive number, got {H!r}")
-    if d < 1:
-        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
+    primes = _modulus_primes(d, dim)
     R = phi.lattice_radius(H, 1e-18)
     if 2 * R + 2 * d + 1 > _TABLE_SIZE_CAP:
         raise BudgetExceededError(
             f"lattice profile at radius {R:.4g}, d={d}: 2R + 2d + 1 entries, "
             f"over {_TABLE_SIZE_CAP}")
-    primes = prime_factors(d)
-    if math.prod(primes) != d:
-        raise ValueError(f"modulus must be a squarefree positive integer, got d={d}")
     span = np.arange(-R - d, R + d + 1)
     theta = np.zeros(d)
     np.add.at(theta, span % d, phi.coord_profile(span / H))
     tables = [(p, weight_table(p, n, mode, rule)) for p in primes]
-    return phi.amplitude * float(_wrapped_contraction(d, space_dim(n, mode), theta, tables))
+    return phi.amplitude * float(_wrapped_contraction(d, dim, theta, tables))
 
 
 @dataclass(frozen=True)
@@ -519,38 +555,14 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     same (Z/d)^dim contraction: phi wrapped against the psi_p tables, and
     phi_hat wrapped against the twisted psi_hat_p tables.  Each is charged
     `contraction_cost(d, dim)`, each prime p | d its table build and
-    transform, and the check refuses before any table is built.  H must be
-    a finite positive number and n >= 1.
-
-    Every prime p | d needs a p^dim table of at most _TABLE_SIZE_CAP
-    entries, so d is trial-divided only by the primes up to that bound
-    (368 at dim 3, 84 at dim 4): a repeated prime there is a ValueError,
-    and a cofactor left above it is refused with BudgetExceededError.  So
-    is a d with d^dim over _TABLE_SIZE_CAP^2, since every CRT split of it
-    has a side table over the cap, and a wrapped profile, 2R + 2d + 1
-    entries on the lattice side and 2U + 1 on the dual side, over
-    _TABLE_SIZE_CAP or of infinite length."""
+    transform.  Before any table, the job (`_weight_job`) and H must be
+    valid, d passes `_modulus_primes`, and a wrapped profile over
+    _TABLE_SIZE_CAP entries (2U + 1 on the dual side) is refused."""
+    dim = _weight_job(n, mode, rule)[0]
     if not (math.isfinite(H) and H > 0):
         raise ValueError(f"H must be a finite positive number, got {H!r}")
-    _check_degree(n)  # dim 0 would bound no prime
-    dim = space_dim(n, mode)
-    cap = round(_TABLE_SIZE_CAP ** (1 / dim))
-    cap -= cap ** dim > _TABLE_SIZE_CAP  # the largest p with p^dim <= the cap
-    if d >= 1:
-        pairs, rest = _trial_division(d, cap)
-    if d < 1 or any(e > 1 for _p, e in pairs):
-        raise ValueError("modulus must be a squarefree positive integer")
-    if rest > cap:
-        raise BudgetExceededError(
-            f"modulus d={d} has a prime factor above {cap}, whose {dim}-coordinate "
-            f"weight table would exceed {_TABLE_SIZE_CAP} entries")
-    if d ** dim > _TABLE_SIZE_CAP ** 2:
-        # every split d = A*B has max(A, B) >= sqrt(d): refused before
-        # `_crt_split` lists all 2^omega(d) of them
-        raise BudgetExceededError(
-            f"modulus d={d}: every CRT split has a side of at least sqrt(d), whose "
-            f"{dim}-coordinate table would exceed {_TABLE_SIZE_CAP} entries")
-    cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in prime_factors(d))
+    primes = _modulus_primes(d, dim)
+    cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in primes)
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"poisson check at d={d} (two contractions, {dim} coordinates, "

@@ -140,12 +140,9 @@ _FOURIER_DEFAULTS = {
 
 
 def cmd_fourier_scan(resolved: dict) -> int:
-    rule = charsum._canon_rule(resolved["rule"])
-    cells = [(p, n, mode)
+    cells = [(p, n, mode, charsum._weight_job(n, mode, resolved["rule"])[1])
              for p in resolved["p"] for n in resolved["n"] for mode in _modes(resolved)]
-    for p, n, mode in cells:
-        if rule == charsum.RULE_SQUAREFREE and mode != charsum.MONIC:
-            raise _Usage("the squarefree rule is monic-only")
+    for p, n, mode, _rule in cells:
         if not is_prime(p):  # the price below takes log2(p)
             raise _Usage(f"weight tables need a prime modulus, got p={p}")
         cost = charsum.table_cost(p, n, mode)
@@ -156,7 +153,7 @@ def cmd_fourier_scan(resolved: dict) -> int:
 
     rows = []
     all_ok = True
-    for p, n, mode in cells:
+    for p, n, mode, rule in cells:
         w = charsum.weight_table(p, n, mode, rule)
         zero = float(w.mean())
         scan = charsum.max_nonzero_phase(w)

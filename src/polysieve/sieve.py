@@ -38,8 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _ints
-from .charsum import (MONIC, SmoothWeight, _chi, contraction_cost, lattice_weight_sum,
-                      space_dim, table_build_cost)
+from .charsum import (MONIC, SmoothWeight, _chi, _modulus_primes, _weight_job,
+                      contraction_cost, lattice_weight_sum, table_build_cost)
 from .errors import BudgetExceededError
 from .zpoly import _coeffs, _disc, box_cost, square_disc_scan
 
@@ -187,12 +187,14 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     Each contraction, table build and the left side's box is charged as if
     nothing were cached, so a refusal never depends on which cells ran before.
     """
-    dim = space_dim(n, mode)
-    if D < 1 or H < 1 or n < 1:
-        raise ValueError("need n >= 1, H >= 1, D >= 1")
+    dim = _weight_job(n, mode, "mobius-half")[0]
+    if D < 1 or H < 1:
+        raise ValueError("need H >= 1, D >= 1")
     phi = phi if phi is not None else SmoothWeight.box_calibrated(dim)
     start = time.perf_counter()
     pair_weight = selberg_weights(D).pair_weights
+    for m in pair_weight:  # a prime or split over the table cap: refused before any table
+        _modulus_primes(m, dim)
     # the left side's box: refused here, before any weight table, when its
     # discriminants could leave the int64 range
     radius = phi.lattice_radius(H, 1e-16)

@@ -455,6 +455,12 @@ class TestAdmissibility:
         assert min_admissible_r(10 ** 9) == 2 * 10 ** 9 - 3
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("n", [10 ** 16, 10 ** 17])
+    def test_closed_form_past_float_precision(self, n):
+        # the float comparison of 1/Delta_r once gave 2n - 2 at 10^16 and
+        # 2n + 17 at 10^17
+        assert min_admissible_r(n) == 2 * n - 3
+
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_degree_below_two_refused(self, n):
         # n / (2(n-1)^2) once divided by zero at n = 1

@@ -139,6 +139,11 @@ class TestWeightTables:
         with pytest.raises(BudgetExceededError):
             weight_table(61, 4, GENERAL, "mobius-half")
 
+    def test_rule_checked_before_size(self):
+        # 373^4 entries would be over the cap, but the rule is monic-only
+        with pytest.raises(ValueError, match="monic-only"):
+            weight_table(373, 3, GENERAL, "squarefree")
+
     def test_product_rule_reproduces_pointwise(self):
         vals = product_weight_values(6, 3, MONIC, "mobius-half")
         t2 = weight_table(2, 3, MONIC, "mobius-half")
@@ -484,6 +489,16 @@ class TestSmoothWeight:
         with pytest.raises(ValueError, match=match):
             lattice_weight_sum(d, 3, MONIC, "mobius-half", SmoothWeight(), H)
 
+    @pytest.mark.parametrize("d, match", [
+        (3 * 373, "prime factor above 368"),    # once built the p = 3 table first
+        (43 * 47 * 53, "contraction at d="),    # once built all three tables
+    ])
+    def test_lattice_sum_modulus_refused_before_tables(self, d, match):
+        weight_table.cache_clear()
+        with pytest.raises(BudgetExceededError, match=match):
+            lattice_weight_sum(d, 3, MONIC, "mobius-half", SmoothWeight(), 4.0)
+        assert weight_table.cache_info().currsize == 0
+
 
 def dual_sum_oracle(n, mode, d, H, rule, phi):
     """H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), one phase at a time over
@@ -681,6 +696,26 @@ class TestPoisson:
             poisson_check(n, mode, d, 4.0, "mobius-half", budget=None)
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("d, budget", [(210, None), (210, 10), (30030, None)])
+    def test_rule_outside_mode_refused_first(self, monkeypatch, d, budget):
+        # once a ValueError at d = 210 only after its tables were built, and a
+        # budget refusal under budget 10 or at d = 30030
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        with pytest.raises(ValueError, match="monic-only"):
+            poisson_check(3, GENERAL, d, 4.0, "squarefree", budget=budget)
+
+    @pytest.mark.parametrize("d", [2 ** 63 + 29, 2251799813685119])
+    def test_degree_one_prime_refused_fast(self, d):
+        # two primes: trial division once ran to the dim-1 table bound of
+        # 5e7 (2.25 s and 2.03 s), though d > 2.5e7 has a profile over the cap
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="lattice profile"):
+            poisson_check(1, MONIC, d, 4.0, "mobius-half", budget=None)
+        assert time.perf_counter() - started < 0.3
+
     def test_table_cap_primes_pass_the_modulus_check(self):
         # 367 and 83 are the largest primes of a table under the cap at
         # dim 3 and 4: the modulus check lets them through to the budget
@@ -717,3 +752,40 @@ class TestPoisson:
         monkeypatch.setattr(charsum, "weight_table", no_table)
         with pytest.raises(ValueError, match="H must be a finite positive number"):
             poisson_check(3, MONIC, 6, H, "mobius-half")
+
+
+class TestModulusPrimes:
+    @pytest.mark.parametrize("dim, bound", [(1, 50_000_000), (2, 7071), (3, 368), (4, 84)])
+    def test_small_moduli(self, dim, bound):
+        # every d <= 3000: a ValueError exactly when d is not squarefree, a
+        # refusal exactly when a prime of d is over the table bound or the
+        # split that `_wrapped_contraction` takes has a side table over the
+        # cap (only at dim 4 here), else the primes of d
+        assert bound ** dim <= charsum._TABLE_SIZE_CAP < (bound + 1) ** dim
+        for d in range(1, 3001):
+            if not is_squarefree(d):
+                with pytest.raises(ValueError, match="squarefree"):
+                    charsum._modulus_primes(d, dim)
+            elif max(prime_factors(d), default=1) > bound:
+                with pytest.raises(BudgetExceededError, match="prime factor above"):
+                    charsum._modulus_primes(d, dim)
+            elif max(map(math.prod, _crt_split(d, dim))) ** dim > charsum._TABLE_SIZE_CAP:
+                assert dim == 4, d
+                with pytest.raises(BudgetExceededError, match="contraction at"):
+                    charsum._modulus_primes(d, dim)
+            else:
+                assert charsum._modulus_primes(d, dim) == prime_factors(d), (d, dim)
+
+    def test_profile_bound_at_low_dimension(self):
+        # trial division stops at 5,000 = sqrt(cap / 2) at dim 1 and 2: the
+        # largest prime below 2.5e7 and the primes around the dim-2 bound
+        # are decided exactly, a larger cofactor by the lattice profile
+        assert charsum._modulus_primes(24_999_983, 1) == (24_999_983,)
+        assert charsum._modulus_primes(2 * 24_999_983, 1) == (2, 24_999_983)
+        assert charsum._modulus_primes(3 * 7069, 2) == (3, 7069)
+        with pytest.raises(BudgetExceededError, match="prime factor above 7071"):
+            charsum._modulus_primes(7079, 2)
+        for d, dim in ((5003 * 5009, 1), (5003 * 5009, 2), (7001 ** 2, 2)):
+            with pytest.raises(BudgetExceededError, match="lattice profile"):
+                charsum._modulus_primes(d, dim)
+

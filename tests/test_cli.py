@@ -156,6 +156,18 @@ class TestSieveVerify:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
 
+    def test_prime_above_table_cap_refused_at_once(self, tmp_path, capsys):
+        # p = 89 over the dim-4 bound of 84: once refused after minutes of
+        # table builds, though the estimate is within the budget
+        out = tmp_path / "x.json"
+        started = time.perf_counter()
+        rc = main(["sieve-verify", "--n", "4", "--H", "1", "--D", "89", "--mode", "monic",
+                   "--budget", "10000000000000", "--out", str(out)])
+        assert rc == 3
+        assert time.perf_counter() - started < 1.0
+        assert "prime factor above 84" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma, code, message", [
         ("1e150", 3, "int64"),
         ("1e160", 3, "int64"),             # sigma^2 overflows: once exit 2, "too small"
@@ -365,6 +377,18 @@ class TestPoissonCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "squarefree" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--d", "210"], ["--d", "210", "--budget", "10"],
+                                       ["--d", "30030"]])
+    def test_rule_outside_mode_is_usage_error(self, tmp_path, capsys, extra):
+        # once exit 2, 3 and 3: the rule was checked only when a table was built
+        out = tmp_path / "p.csv"
+        argv = ["poisson-check", "--n", "3", "--mode", "general", "--rule", "squarefree",
+                "--H", "4", "--out", str(out)]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "monic-only" in err
         assert not out.exists()
 
     def test_zero_height_is_usage_error(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from polysieve.charsum import (
     table_build_cost,
     weight_table,
 )
-from polysieve import sieve
+from polysieve import charsum, sieve
 from polysieve.errors import BudgetExceededError
 from polysieve.sieve import (
     AnBoxCount,
@@ -291,6 +291,19 @@ class TestVerify:
             with pytest.raises(BudgetExceededError, match=match):
                 verify_modified_selberg(*args, MONIC, budget=budget)
             assert weight_table.cache_info().misses == 0
+
+    @pytest.mark.parametrize("n, mode", [(4, MONIC), (3, GENERAL)])
+    def test_prime_above_table_cap_refused_before_tables(self, monkeypatch, n, mode):
+        # p = 89 is over 84, the dim-4 table bound: monic quartics once ran
+        # 496 s and built 23 tables before lattice_weight_sum refused it
+        def no_table(*_a, **_k):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(charsum, "weight_table", no_table)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="prime factor above 84"):
+            verify_modified_selberg(n, 1, 89, mode, budget=None)
+        assert time.perf_counter() - started < 1.0
 
     def test_rhs_independent_of_engine_small(self):
         # brute-force recomputation of the right side over an explicit box
