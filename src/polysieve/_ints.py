@@ -36,6 +36,8 @@ INT64_MR_LIMIT = 2 ** 31
 # which covers every odd value below INT64_MR_LIMIT.
 _INT64_MR_BASES = np.array([2, 7, 61], dtype=np.int64)
 
+_ROOT_MAX = 3_037_000_499  # isqrt(2**63 - 1): the largest root of an int64 square
+
 
 def is_prime(m: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
@@ -162,17 +164,21 @@ def is_perfect_square(m: int) -> bool:
 
 
 def square_mask(vals: np.ndarray) -> np.ndarray:
-    """Exact perfect-square mask for an int64 array (negatives excluded)."""
+    """Exact perfect-square mask for an int64 array (negatives excluded), on
+    all of int64: the candidates are the float root, at least 1, capped at
+    _ROOT_MAX - 1, and its neighbours, so none squares past 2^63 - 1 and
+    wraps (near 2^63 the float root plus one would)."""
     mask = vals > 0
     out = np.zeros(vals.shape, dtype=bool)
     if not mask.any():
         return out
     pos = vals[mask]
     root = np.floor(np.sqrt(pos.astype(np.float64))).astype(np.int64)
+    np.minimum(root, _ROOT_MAX - 1, out=root)
     hit = np.zeros(pos.shape, dtype=bool)
     for delta in (-1, 0, 1):  # guard against float rounding at the boundary
         r = root + delta
-        hit |= (r >= 0) & (r * r == pos)
+        hit |= r * r == pos
     out[mask] = hit
     return out
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _ints
 from .charsum import SmoothWeight
-from .errors import BudgetExceededError
-from .zpoly import DEFAULT_BOX_BUDGET, _disc_blocks, _ldisc_abs_bound
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .zpoly import _disc_blocks, _ldisc_abs_bound
 # rebound here too by perfbench/tracing.py, which raises if either is missing
 from .zpoly import discriminant, disc_values_monic3  # noqa: F401
 
@@ -94,7 +94,7 @@ class DiscSequence:
 
 def build_disc_sequence(n: int, H: float, phi: SmoothWeight | None = None,
                         radius: int | None = None,
-                        budget: int | None = DEFAULT_BOX_BUDGET) -> DiscSequence:
+                        budget: int | None = DEFAULT_BUDGET) -> DiscSequence:
     """Exact-discriminant histogram with smooth weights phi(f/H) over the
     monic lattice, truncated where the Gaussian falls below machine
     precision (override with an explicit radius for hard boxes).  n and
@@ -263,12 +263,13 @@ class SieveAdmissibility:
 
 
 def admissibility(n: int, r: int) -> SieveAdmissibility:
-    """Whether 1/Delta_r < n / (2(n-1)^2); the exponent needs n >= 2."""
+    """Whether 1/Delta_r < n / (2(n-1)^2); the exponent needs n >= 2.
+    Decided exactly: r >= `min_admissible_r(n)` for n >= 3, r >= 2 at n = 2
+    (the exponent is 1 = Delta_1 < Delta_2).  `delta` is only reported."""
     if n < 2:
         raise ValueError(f"admissibility needs n >= 2, got n={n}")
-    expo = Fraction(n, 2 * (n - 1) ** 2)
-    d = delta_r(r)
-    return SieveAdmissibility(n, r, d, expo, 1 / d < expo)
+    return SieveAdmissibility(n, r, delta_r(r), Fraction(n, 2 * (n - 1) ** 2),
+                              r >= (2 if n == 2 else min_admissible_r(n)))
 
 
 def min_admissible_r(n: int) -> int:
@@ -289,7 +290,7 @@ def min_admissible_r(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def count_almost_prime(n: int, H: int, *,
-                       budget: int | None = DEFAULT_BOX_BUDGET) -> np.ndarray:
+                       budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """The omega distribution of the monic height-H degree-n box, as an
     int64 table `counts` of shape (16, 2): counts[w, s] box polynomials
     have a nonzero Disc with omega(|Disc|) = w and squarefree flag s

@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from ._ints import _trial_division, is_prime, prime_factors
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
 from .zpoly import _disc
 
 GENERAL = "general"
@@ -83,7 +83,6 @@ RULE_MOBIUS_HALF = "mobius-half"
 RULE_SQUAREFREE = "squarefree-complement"
 _RULE_ALIASES = {"squarefree": RULE_SQUAREFREE}
 
-DEFAULT_OPS_BUDGET = 1_000_000_000
 _TABLE_SIZE_CAP = 50_000_000
 
 
@@ -349,14 +348,12 @@ class SmoothWeight:
         """Scaled so the minimum over [-1, 1]^dim (at the corners) is 1."""
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        try:
-            sigma2 = sigma ** 2
-        except OverflowError:  # then exp(pi*dim/sigma^2) is exp(0) = 1.0
-            sigma2 = math.inf
-        try:
-            amplitude = math.exp(math.pi * dim / sigma2)
-        except (OverflowError, ZeroDivisionError):  # sigma^2 may underflow to 0
-            amplitude = math.inf
+        try:  # sigma ** 2, to the bit as `coord_profile` squares it
+            amplitude = math.exp(math.pi * dim / sigma ** 2)
+        except (OverflowError, ZeroDivisionError):
+            # sigma ** 2 overflowed (then the amplitude is exp(0)), or it
+            # underflowed to 0 or the exponential overflowed
+            amplitude = 1.0 if math.isinf(sigma * sigma) else math.inf
         if amplitude == math.inf:
             raise ValueError(f"sigma {sigma} is too small: the box calibration "
                              f"exp(pi*{dim}/sigma^2) overflows a float")
@@ -548,7 +545,7 @@ class PoissonReport:
 
 def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
                   phi: SmoothWeight | None = None,
-                  budget: int | None = DEFAULT_OPS_BUDGET) -> PoissonReport:
+                  budget: int | None = DEFAULT_BUDGET) -> PoissonReport:
     """Compare the lattice sum sum_f phi(f/H) psi_d(f) against its dual form
     H^dim * sum_u phi_hat(u H / d) psi_hat_d(u), both truncated only where
     Gaussian tails fall below machine precision.  The two sides are the
@@ -562,11 +559,9 @@ def poisson_check(n: int, mode: str, d: int, H: float, rule: str,
     if not (math.isfinite(H) and H > 0):
         raise ValueError(f"H must be a finite positive number, got {H!r}")
     primes = _modulus_primes(d, dim)
-    cost = 2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in primes)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"poisson check at d={d} (two contractions, {dim} coordinates, "
-            f"tables included) costs {cost}, over budget {budget}")
+    charge(2 * contraction_cost(d, dim) + sum(table_cost(p, n, mode) for p in primes),
+           budget, f"poisson check at d={d} (two contractions, {dim} coordinates, "
+           f"tables included)")
     phi = phi if phi is not None else SmoothWeight()
     try:
         U = max(1, math.ceil((d / (phi.sigma * H)) * math.sqrt(math.log(1e18) / math.pi)) + 1)

@@ -22,9 +22,8 @@ from fractions import Fraction
 
 from . import __version__, almostprime, charsum, sieve
 from ._ints import is_prime
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
 
-DEFAULT_BUDGET = 2_000_000_000
 POISSON_REL_TOL = 1e-6
 
 
@@ -145,11 +144,8 @@ def cmd_fourier_scan(resolved: dict) -> int:
     for p, n, mode, _rule in cells:
         if not is_prime(p):  # the price below takes log2(p)
             raise _Usage(f"weight tables need a prime modulus, got p={p}")
-        cost = charsum.table_cost(p, n, mode)
-        if cost > resolved["budget"]:
-            raise BudgetExceededError(
-                f"building and transforming the p={p}, n={n} {mode} table "
-                f"costs {cost}, over budget {resolved['budget']}")
+        charge(charsum.table_cost(p, n, mode), resolved["budget"],
+               f"building and transforming the p={p}, n={n} {mode} table")
 
     rows = []
     all_ok = True

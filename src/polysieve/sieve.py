@@ -40,11 +40,10 @@ import numpy as np
 from . import _ints
 from .charsum import (MONIC, SmoothWeight, _chi, _modulus_primes, _weight_job,
                       contraction_cost, lattice_weight_sum, table_build_cost)
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, charge
 from .zpoly import _coeffs, _disc, box_cost, square_disc_scan
 
 MARGIN_TOLERANCE = 1e-9
-DEFAULT_VERIFY_BUDGET = 500_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def _an_weighted_lattice_sum(n: int, mode: str, phi: SmoothWeight, H: int,
 
 def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
                             phi: SmoothWeight | None = None,
-                            budget: int | None = DEFAULT_VERIFY_BUDGET) -> VerifyReport:
+                            budget: int | None = DEFAULT_BUDGET) -> VerifyReport:
     """Brute-force both sides of the sieve upper bound
 
         sum_{f square disc, LDisc != 0} phi(f/H) / 2^omega(LDisc f)
@@ -199,12 +198,9 @@ def verify_modified_selberg(n: int, H: int, D: int, mode: str = MONIC,
     # discriminants could leave the int64 range
     radius = phi.lattice_radius(H, 1e-16)
     box = box_cost(n, radius, mode == MONIC)[1]
-    if budget is not None:
-        est = (sum(contraction_cost(m, dim) for m in pair_weight)
-               + sum(table_build_cost(p, n) for p in _ints.primes_up_to(D))
-               + box)
-        if est > budget:
-            raise BudgetExceededError(f"verification cost estimate {est} exceeds budget {budget}")
+    tables = sum(table_build_cost(p, n) for p in _ints.primes_up_to(D))
+    charge(sum(contraction_cost(m, dim) for m in pair_weight) + tables + box, budget,
+           f"sieve check at n={n}, H={H}, D={D} ({mode}: contractions, tables and box)")
     rhs = 0.0
     for m, w in pair_weight.items():
         rhs += float(w) * lattice_weight_sum(m, n, mode, "mobius-half", phi, H)
@@ -250,7 +246,7 @@ class AnBoxCount:
 
 
 def count_an_box(n: int, H: int, monic: bool,
-                 budget: int | None = DEFAULT_VERIFY_BUDGET) -> AnBoxCount:
+                 budget: int | None = DEFAULT_BUDGET) -> AnBoxCount:
     """Count height-H polynomials with square nonzero discriminant, plus the
     companion weighted sum of 2^(-omega(LDisc)) and the number of vanishing
     discriminants."""

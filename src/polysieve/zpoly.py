@@ -28,16 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import _ints
 from ._discforms import DISC, TERMS, disc3
-from .errors import BudgetExceededError
-
-DEFAULT_BOX_BUDGET = 100_000_000
+from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -231,28 +229,24 @@ def _disc_blocks(n: int, R: int, monic: bool, budget: int | None, *,
     When it is called, before any work or allocation, it refuses a box
     outside the domain of `box_cost` or whose cost exceeds the budget."""
     points, cost = box_cost(n, R, monic)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"box of {points} lattice points costs {cost}, over budget {budget}")
-    if n == 3:
-        return _cubic_blocks(R, monic, half)
-    if half:
-        points = (R + 1) * (2 * R + 1) ** (n - 1)
-    return _point_blocks(n, R, monic, points, half)
+    charge(cost, budget, f"box of {points} lattice points")
+    return _cubic_blocks(R, monic, half) if n == 3 else _point_blocks(n, R, monic, half)
 
 
-def _point_blocks(n: int, R: int, monic: bool, points: int, half: bool):
+def _point_blocks(n: int, R: int, monic: bool, half: bool):
     dim = n if monic else n + 1
-    # flat lists of ints: no per-polynomial object outlives its step, so
-    # a block adds nothing for the cyclic garbage collector to scan
-    coeffs, discs = [], []
-    for i, f in enumerate(_box_tuples(n, R, monic, half), 1):
-        coeffs.extend(f[:dim])
-        discs.append(discriminant(f))
-        if i % _BLOCK == 0 or i == points:
-            yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),
-                   np.array(discs, dtype=np.int64))
-            coeffs, discs = [], []
+    walk = _box_tuples(n, R, monic, half)
+    while True:
+        # flat lists of ints: no per-polynomial object outlives its step, so
+        # a block adds nothing for the cyclic garbage collector to scan
+        coeffs, discs = [], []
+        for f in islice(walk, _BLOCK):
+            coeffs.extend(f[:dim])
+            discs.append(discriminant(f))
+        if not discs:
+            return
+        yield (np.array(coeffs, dtype=np.int64).reshape(-1, dim),
+               np.array(discs, dtype=np.int64))
 
 
 def _cubic_blocks(R: int, monic: bool, half: bool):
@@ -273,7 +267,7 @@ def _cubic_blocks(R: int, monic: bool, half: bool):
 
 
 def square_disc_scan(n: int, R: int, monic: bool,
-                     budget: int | None = DEFAULT_BOX_BUDGET):
+                     budget: int | None = DEFAULT_BUDGET):
     """Scan the height-R box for polynomials with square nonzero discriminant.
 
     Returns (coeffs, discs, zero_count): coeffs an int64 (k, n+1) array of

@@ -20,7 +20,7 @@ from polysieve import _ints, almostprime
 from polysieve._ints import (INT64_MR_LIMIT, is_prime, is_squarefree, mobius, omega,
                              omega_batch)
 from polysieve.charsum import SmoothWeight
-from polysieve.errors import BudgetExceededError
+from polysieve.errors import DEFAULT_BUDGET, BudgetExceededError
 from polysieve import zpoly
 from polysieve.almostprime import (
     admissibility,
@@ -34,7 +34,6 @@ from polysieve.almostprime import (
 )
 from polysieve._discforms import TERMS
 from polysieve.zpoly import (
-    DEFAULT_BOX_BUDGET,
     _disc_blocks,
     _disc_sylvester,
     _ldisc_abs_bound,
@@ -106,12 +105,13 @@ class TestDiscSequence:
             assert table == _ldisc_abs_bound(3, R, True), R
 
     @pytest.mark.parametrize("n, radius, budget", [(3, 287, None), (9, 1, None),
-                                                   (9, 1, DEFAULT_BOX_BUDGET)])
+                                                   (9, 1, 10 ** 8), (9, 1, DEFAULT_BUDGET)])
     def test_sort_key_domain_refused(self, monkeypatch, n, radius, budget):
         # |Disc| << shift | slot must fit in int64: max |Disc| < 2^(63 - shift).
-        # The degree-9 box of height 1 is inside the default budget but not
-        # inside this domain.  Both boxes are refused before any
-        # discriminant or allocation.
+        # The degree-9 box of height 1 is inside the default budget (and
+        # the library's old box default of 10^8) but not inside this
+        # domain.  Both boxes are refused before any discriminant or
+        # allocation.
         def fail(*_a, **_k):
             raise AssertionError("work started before the domain check")
 
@@ -460,6 +460,24 @@ class TestAdmissibility:
         # the float comparison of 1/Delta_r once gave 2n - 2 at 10^16 and
         # 2n + 17 at 10^17
         assert min_admissible_r(n) == 2 * n - 3
+
+    @pytest.mark.parametrize("n", [3, 10 ** 8, 10 ** 16, 10 ** 17])
+    def test_admissibility_agrees_with_closed_form(self, n):
+        # the float comparison of 1/Delta_r once read False at r = 2n - 3
+        # for n = 10^16 and 10^17
+        assert not admissibility(n, 2 * n - 4).admissible
+        rec = admissibility(n, 2 * n - 3)
+        assert rec.admissible and rec.delta == delta_r(2 * n - 3)
+        assert rec.density_exponent == Fraction(n, 2 * (n - 1) ** 2)
+
+    def test_admissibility_at_degree_two(self):
+        # the exponent is 1 and Delta_1 = 1: r = 2n - 3 = 1 fails, r = 2 holds,
+        # and r = 2n - 4 = 0 is refused like every r < 1
+        assert admissibility(2, 1).delta == 1.0
+        assert not admissibility(2, 1).admissible
+        assert admissibility(2, 2).admissible
+        with pytest.raises(ValueError, match="r >= 1"):
+            admissibility(2, 0)
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_degree_below_two_refused(self, n):

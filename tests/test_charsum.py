@@ -440,6 +440,22 @@ class TestSmoothWeight:
         # overflow was once read as sigma^2 underflowing, "sigma too small"
         assert SmoothWeight.box_calibrated(3, sigma).amplitude == 1.0
 
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("sigma, amplitude, refusal", [
+        (1e-200, None, "overflows"),   # sigma^2 underflows to 0
+        (1e-155, None, "overflows"),   # pi*dim/sigma^2 is inf, without raising
+        (0.01, None, "overflows"),     # exp raises
+        (1.0, "exp", None), (1e154, 1.0, None),
+        (1e200, 1.0, None), (math.inf, 1.0, None),  # sigma^2 overflows: exp(0)
+        (math.nan, None, "positive"), (0.0, None, "positive"), (-1.0, None, "positive")])
+    def test_box_calibration_grid(self, dim, sigma, amplitude, refusal):
+        if refusal:
+            with pytest.raises(ValueError, match=refusal):
+                SmoothWeight.box_calibrated(dim, sigma)
+            return
+        want = math.exp(math.pi * dim) if amplitude == "exp" else amplitude
+        assert SmoothWeight.box_calibrated(dim, sigma).amplitude == want
+
     @pytest.mark.parametrize("sigma, scale", [(1e308, 4.0), (1.0, math.inf), (1e200, 1e200)])
     def test_infinite_lattice_radius_refused(self, sigma, scale):
         # math.ceil of an infinite radius was an OverflowError

@@ -12,7 +12,8 @@ import pytest
 
 from polysieve import _ints, almostprime, charsum, cli, sieve, zpoly
 from polysieve._ints import omega_batch
-from polysieve.cli import DEFAULT_BUDGET, main
+from polysieve.cli import main
+from polysieve.errors import DEFAULT_BUDGET
 
 
 def read_csv(path):

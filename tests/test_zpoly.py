@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ddf_oracle import fp_normalize, is_squarefree_fp, mobius_pn
 from polysieve import zpoly
 from polysieve._discforms import TERMS
-from polysieve._ints import is_squarefree, mobius, omega, prime_factors, tau
+from polysieve._ints import is_squarefree, mobius, omega, prime_factors, square_mask, tau
 from polysieve.errors import BudgetExceededError
 from polysieve.zpoly import (
     _disc_sylvester,
@@ -333,6 +333,27 @@ class TestSquareDiscScan:
             zpoly._disc_blocks(n, R, True, cost - 1, half=True)
 
 
+    @pytest.mark.parametrize("block", [None, 3, 7])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("monic", [True, False])
+    @pytest.mark.parametrize("n,R", [(2, 1), (2, 2), (4, 1), (5, 1)])
+    def test_point_blocks_cut_the_walk(self, monkeypatch, n, R, monic, half, block):
+        # blocks of _BLOCK points in walk order, the last one closed by the
+        # walk's end and never empty (block 3 divides every R = 1 box here)
+        if block:
+            monkeypatch.setattr(zpoly, "_BLOCK", block)
+        size = zpoly._BLOCK
+        walk = list(zpoly._box_tuples(n, R, monic, half))
+        blocks = list(zpoly._disc_blocks(n, R, monic, None, half=half))
+        assert [len(discs) for _c, discs in blocks] == \
+            [min(size, len(walk) - i) for i in range(0, len(walk), size)]
+        dim = n if monic else n + 1
+        for k, (coeffs, discs) in enumerate(blocks):
+            chunk = walk[k * size:(k + 1) * size]
+            assert coeffs.tolist() == [list(f[:dim]) for f in chunk]
+            assert discs.tolist() == [_disc_sylvester(f) for f in chunk]
+
+
 class TestDiscDomain:
     def test_degree_ten_height_one_admitted(self, monkeypatch):
         # ||f||^2 = 11 and ||f'||^2 = 385 in both modes: |LDisc| <= 4.1e17
@@ -407,6 +428,30 @@ def tau_omega_sides(d1, d2):
     num, den = tau(d1) * tau(d2), tau(math.gcd(d1, d2))
     assert num % den == 0, (d1, d2)
     return 2 ** omega(math.lcm(d1, d2)), num // den
+
+
+class TestSquareMask:
+    ROOT_MAX = 3_037_000_499  # isqrt(2^63 - 1)
+
+    def test_int64_edge(self):
+        # near 2^63 the float root rounds up to ROOT_MAX + 1, whose square
+        # once wrapped to a negative int64
+        top = self.ROOT_MAX
+        assert math.isqrt(2 ** 63 - 1) == top
+        vals = ([2 ** 63 - 1 - k for k in range(64)]
+                + [top * top + k for k in range(-64, 65)]
+                + [(top - 1) ** 2 + k for k in (-1, 0, 1)]
+                + [-(2 ** 63), -1, 0, 1, 2, 4])
+        got = square_mask(np.array(vals, dtype=np.int64))
+        assert got.tolist() == [v > 0 and math.isqrt(v) ** 2 == v for v in vals]
+        assert got[vals.index(top * top)] and not got[0]
+
+    def test_random_squares_and_neighbours(self):
+        rng = random.Random(7)
+        roots = [rng.randrange(1, self.ROOT_MAX + 1) for _ in range(500)]
+        vals = [r * r + k for r in roots for k in (-1, 0, 1) if 0 < r * r + k < 2 ** 63]
+        got = square_mask(np.array(vals, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) ** 2 == v for v in vals]
 
 
 class TestMultiplicative:
